@@ -122,22 +122,6 @@ impl DistanceSource {
     pub fn backend(&self) -> &DistanceBackend {
         &self.backend
     }
-
-    /// The dense matrix, when that is the backend.
-    pub fn as_dense(&self) -> Option<&DistanceMatrix> {
-        match &self.backend {
-            DistanceBackend::Dense(m) => Some(m),
-            DistanceBackend::Hub(_) => None,
-        }
-    }
-
-    /// The hub labels, when that is the backend.
-    pub fn as_hub(&self) -> Option<&HubLabels> {
-        match &self.backend {
-            DistanceBackend::Dense(_) => None,
-            DistanceBackend::Hub(h) => Some(h),
-        }
-    }
 }
 
 #[cfg(test)]

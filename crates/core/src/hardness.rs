@@ -1,6 +1,6 @@
 //! Executable hardness constructions (Theorems 1 and 3).
 //!
-//! The paper's W[1]-hardness results rest on two gadget reductions; both
+//! The paper's W\[1\]-hardness results rest on two gadget reductions; both
 //! are implemented here together with brute-force Hamiltonicity oracles so
 //! the reductions' correctness properties are *testable*:
 //!

@@ -48,11 +48,6 @@ use crate::request::{OraclePolicy, SolveRequest, Strategy};
 /// Exact-coloring size guard for the `L1Coloring` route's `Exact` engine.
 const L1_EXACT_MAX_N: usize = 28;
 
-/// Largest `n` at which `Auto` also runs Christofides next to the LK
-/// heuristic (the blossom matching is cubic-ish; past this the heuristic
-/// runs alone).
-const AUTO_APPROX_MAX_N: usize = 400;
-
 /// Seed stride between racing LK members: far enough apart that their kick
 /// streams never overlap the per-restart `seed + i` offsets of the driver.
 const RACE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -63,6 +58,11 @@ const RACE_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// 1 GiB ⇒ the crossover sits near n ≈ 9.5k; past it the matrix walk to
 /// tens of gigabytes is what the oracle subsystem exists to avoid.
 const AUTO_HUB_THRESHOLD_BYTES: u64 = 1 << 30;
+
+/// What a route hands to [`finish`]: the solution, the concrete strategy
+/// that produced it, its lower-bound certificate, and whether optimality
+/// was proved.
+type Routed = (Solution, Strategy, SpanBound, bool);
 
 /// Why the engine could not produce a solution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -211,6 +211,15 @@ impl<'a> Ctx<'a> {
     fn note(&mut self, msg: impl Into<String>) {
         self.notes.push(msg.into());
     }
+
+    /// Record a deadline overrun after a route returns: if the clock fired
+    /// meanwhile, mark the report timed out and say where (`msg`).
+    fn overrun(&mut self, deadline: &Deadline, msg: &str) {
+        if deadline.expired() {
+            self.timed_out = true;
+            self.note(msg);
+        }
+    }
 }
 
 /// Solve one request. The single front door: every strategy, including the
@@ -291,42 +300,12 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
             let lb = SpanBound::proved(sol.span);
             (sol, Strategy::Exact, lb, true)
         }
+        // The logical budget running out stays an error (the pre-deadline
+        // contract); only the wall clock harvests.
         Strategy::BranchBound => {
-            ctx.reduced()?;
-            // Armed solves buy a Held–Karp root bound first (a small slice
-            // of the budget): the search stops with a proof the moment its
-            // incumbent meets it, and a harvested timeout still certifies
-            // the strongest bound instead of the degree floor.
-            let root = root_bound(&mut ctx, req, &deadline);
-            let reduced = ctx.reduced.as_ref().expect("just computed");
-            let (sol, status) = routes::branch_bound_route_anytime(
-                reduced,
-                req.budget.node_budget(),
-                &deadline,
-                None,
-                root.map(|b| b.value),
-            );
-            ctx.routes_tried.push(Strategy::BranchBound);
-            match status {
-                BbStatus::Proved => {
-                    let lb = SpanBound::proved(sol.span);
-                    (sol, Strategy::BranchBound, lb, true)
-                }
-                // The logical budget running out stays an error (the
-                // pre-deadline contract); only the wall clock harvests.
-                BbStatus::BudgetExhausted => {
-                    return Err(GuardError::BudgetExhausted {
-                        node_budget: req.budget.node_budget(),
-                    }
-                    .into())
-                }
-                BbStatus::Cancelled => {
-                    ctx.timed_out = true;
-                    ctx.note("deadline fired mid-search → best incumbent");
-                    let lb = root.unwrap_or_else(|| SpanBound::degree(degree_bound(g, p)));
-                    (sol, Strategy::BranchBound, lb, false)
-                }
-            }
+            branch_bound_strategy(&mut ctx, req, &deadline)?.ok_or(GuardError::BudgetExhausted {
+                node_budget: req.budget.node_budget(),
+            })?
         }
         Strategy::Approx15 => {
             // Christofides has no interior checkpoint; it runs to
@@ -334,31 +313,21 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
             // degraded (degree-bound) certificate is never silent.
             let sol = routes::approx15_route(ctx.reduced()?, MatchingBackend::Auto);
             ctx.routes_tried.push(Strategy::Approx15);
-            if deadline.expired() {
-                ctx.timed_out = true;
-                ctx.note("deadline fired during christofides (not interruptible)");
-            }
+            ctx.overrun(
+                &deadline,
+                "deadline fired during christofides (not interruptible)",
+            );
             let lb = certificate(&mut ctx, req, true, &deadline);
             (sol, Strategy::Approx15, lb, false)
         }
-        Strategy::Heuristic => {
-            let cfg = heuristic_config(req, &deadline);
-            let sol = routes::heuristic_route(ctx.reduced()?, &cfg);
-            ctx.routes_tried.push(Strategy::Heuristic);
-            if deadline.expired() {
-                ctx.timed_out = true;
-                ctx.note("deadline fired during local search → best incumbent");
-            }
-            let lb = certificate(&mut ctx, req, true, &deadline);
-            (sol, Strategy::Heuristic, lb, false)
-        }
+        Strategy::Heuristic => heuristic_strategy(&mut ctx, req, &deadline)?,
         Strategy::Greedy => {
             let sol = solve_greedy_anytime(g, p, &deadline);
             ctx.routes_tried.push(Strategy::Greedy);
-            if deadline.expired() {
-                ctx.timed_out = true;
-                ctx.note("deadline fired between greedy orders → best order so far");
-            }
+            ctx.overrun(
+                &deadline,
+                "deadline fired between greedy orders → best order so far",
+            );
             (
                 sol,
                 Strategy::Greedy,
@@ -367,12 +336,15 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
             )
         }
         Strategy::L1Coloring => {
-            let (sol, exact_coloring) = l1_route(&mut ctx, req);
-            if deadline.expired() {
-                ctx.timed_out = true;
-                ctx.note("deadline fired during coloring (not interruptible)");
-            }
-            let proved = features.all_ones && exact_coloring;
+            let engine = l1_engine(g);
+            ctx.note(format!("coloring G^{} with {engine:?}", p.k()));
+            let sol = solve_pmax_approx(g, p, engine);
+            ctx.routes_tried.push(Strategy::L1Coloring);
+            ctx.overrun(
+                &deadline,
+                "deadline fired during coloring (not interruptible)",
+            );
+            let proved = features.all_ones && engine == L1Engine::Exact;
             let lb = if proved {
                 SpanBound::proved(sol.span)
             } else {
@@ -400,7 +372,7 @@ fn oracle_path_strategy(
     req: &SolveRequest,
     features: &InstanceFeatures,
     deadline: &Deadline,
-) -> Result<(Solution, Strategy, SpanBound, bool), EngineError> {
+) -> Result<Routed, EngineError> {
     let g = ctx.g;
     let p = ctx.p;
     if !features.smooth {
@@ -412,10 +384,10 @@ fn oracle_path_strategy(
     let src = ctx.source(req.oracle)?;
     let sol = oracle_path_route(g, p, src);
     ctx.routes_tried.push(Strategy::OraclePath);
-    if deadline.expired() {
-        ctx.timed_out = true;
-        ctx.note("deadline fired during oracle path construction (not interruptible)");
-    }
+    ctx.overrun(
+        deadline,
+        "deadline fired during oracle path construction (not interruptible)",
+    );
     // Cheap, O(n)-memory certificate: never touches the reduction, and
     // never depends on the distance backend.
     let lb = span_lower_bound_cheap(g, p, features.diameter);
@@ -429,9 +401,8 @@ fn auto_route(
     req: &SolveRequest,
     features: &InstanceFeatures,
     deadline: &Deadline,
-) -> Result<(Solution, Strategy, SpanBound, bool), EngineError> {
-    let g = ctx.g;
-    let n = g.n();
+) -> Result<Routed, EngineError> {
+    let n = ctx.g.n();
 
     if features.smooth && dense_pipeline_bytes(n) > AUTO_HUB_THRESHOLD_BYTES {
         // Past the memory wall the matrix-bound routes are off the table;
@@ -451,12 +422,7 @@ fn auto_route(
             None => "disconnected → reduction-free fallback".to_string(),
             Some(d) => format!("diameter {d} > k={} → reduction-free fallback", features.k),
         });
-        let out = fallback_portfolio(ctx, features);
-        if deadline.expired() {
-            ctx.timed_out = true;
-            ctx.note("deadline fired during reduction-free fallback");
-        }
-        return Ok(out);
+        return Ok(fallback_portfolio(ctx, deadline));
     }
 
     if !features.smooth {
@@ -468,14 +434,7 @@ fn auto_route(
         if features.two_valued && diam2_applicable(ctx, features) {
             return diam2_route(ctx, features, false);
         }
-        let (sol, used, _, _) = fallback_portfolio(ctx, features);
-        if deadline.expired() {
-            // The reduction-free bounds are not interruptible; an overrun
-            // is reported rather than hidden behind the cheaper
-            // certificate the expired deadline forces below.
-            ctx.timed_out = true;
-            ctx.note("deadline fired during reduction-free fallback");
-        }
+        let (sol, used, _, _) = fallback_portfolio(ctx, deadline);
         let lb = certificate(ctx, req, false, deadline);
         let proved = sol.span == lb.value;
         return Ok((sol, used, lb, proved));
@@ -500,68 +459,76 @@ fn auto_route(
             "two-valued weights → branch and bound (budget {})",
             req.budget.node_budget()
         ));
-        ctx.reduced()?;
-        // Same armed root-bound seeding as Strategy::BranchBound: the
-        // search can end in a proof the moment an incumbent meets the
-        // Held–Karp certificate, and a timeout keeps the strong bound.
-        let root = root_bound(ctx, req, deadline);
-        let reduced = ctx.reduced.as_ref().expect("just computed");
-        let (sol, status) = routes::branch_bound_route_anytime(
-            reduced,
-            req.budget.node_budget(),
-            deadline,
-            None,
-            root.map(|b| b.value),
-        );
-        ctx.routes_tried.push(Strategy::BranchBound);
-        match status {
-            BbStatus::Proved => {
-                let lb = SpanBound::proved(sol.span);
-                return Ok((sol, Strategy::BranchBound, lb, true));
-            }
-            BbStatus::Cancelled => {
-                // No wall-clock left for the heuristic leg: harvest the
-                // incumbent now, certified by the root bound when one was
-                // bought, else by the cheap degree floor.
-                ctx.timed_out = true;
-                ctx.note("deadline fired mid-search → best incumbent");
-                let lb = root.unwrap_or_else(|| SpanBound::degree(degree_bound(g, ctx.p)));
-                return Ok((sol, Strategy::BranchBound, lb, false));
-            }
-            BbStatus::BudgetExhausted => {
-                ctx.note(format!(
-                    "BB budget {} exhausted → heuristic",
-                    req.budget.node_budget()
-                ));
-            }
+        if let Some(out) = branch_bound_strategy(ctx, req, deadline)? {
+            return Ok(out);
         }
+        ctx.note(format!(
+            "BB budget {} exhausted → heuristic",
+            req.budget.node_budget()
+        ));
     } else {
         ctx.note("general smooth instance → heuristic portfolio");
     }
+    heuristic_strategy(ctx, req, deadline)
+}
 
-    // Workhorse: chained LK, optionally raced against Christofides.
+/// Chained LK over the request's reduction, certified from the same
+/// reduction: `Strategy::Heuristic`, and `Auto`'s last leg.
+fn heuristic_strategy(
+    ctx: &mut Ctx<'_>,
+    req: &SolveRequest,
+    deadline: &Deadline,
+) -> Result<Routed, EngineError> {
     let cfg = heuristic_config(req, deadline);
-    let mut sol = routes::heuristic_route(ctx.reduced()?, &cfg);
-    let mut used = Strategy::Heuristic;
+    let sol = routes::heuristic_route(ctx.reduced()?, &cfg);
     ctx.routes_tried.push(Strategy::Heuristic);
-    if deadline.expired() {
-        ctx.timed_out = true;
-        ctx.note("deadline fired during local search → best incumbent");
-    } else if n <= AUTO_APPROX_MAX_N {
-        let approx = routes::approx15_route(ctx.reduced()?, MatchingBackend::Auto);
-        ctx.routes_tried.push(Strategy::Approx15);
-        if approx.span < sol.span {
-            ctx.note(format!(
-                "christofides {} beat heuristic {}",
-                approx.span, sol.span
-            ));
-            sol = approx;
-            used = Strategy::Approx15;
-        }
-    }
+    ctx.overrun(
+        deadline,
+        "deadline fired during local search → best incumbent",
+    );
     let lb = certificate(ctx, req, true, deadline);
-    let proved = sol.span == lb.value;
-    Ok((sol, used, lb, proved))
+    Ok((sol, Strategy::Heuristic, lb, false))
+}
+
+/// Branch and bound over the request's reduction: `Strategy::BranchBound`,
+/// and `Auto`'s two-valued leg. Armed solves buy a Held–Karp root bound
+/// first (a small slice of the budget): the search stops with a proof the
+/// moment its incumbent meets it, and a harvested timeout still certifies
+/// the strongest bound instead of the degree floor. `None` means the node
+/// budget ran out, which the callers read differently: an error for the
+/// explicit strategy, the LK leg for `Auto`.
+fn branch_bound_strategy(
+    ctx: &mut Ctx<'_>,
+    req: &SolveRequest,
+    deadline: &Deadline,
+) -> Result<Option<Routed>, EngineError> {
+    ctx.reduced()?;
+    let root = root_bound(ctx, req, deadline);
+    let reduced = ctx.reduced.as_ref().expect("just computed");
+    let (sol, status) = routes::branch_bound_route_anytime(
+        reduced,
+        req.budget.node_budget(),
+        deadline,
+        None,
+        root.map(|b| b.value),
+    );
+    ctx.routes_tried.push(Strategy::BranchBound);
+    Ok(match status {
+        BbStatus::Proved => {
+            let lb = SpanBound::proved(sol.span);
+            Some((sol, Strategy::BranchBound, lb, true))
+        }
+        BbStatus::Cancelled => {
+            // No wall-clock left for anything else: harvest the incumbent,
+            // certified by the root bound when one was bought, else by the
+            // cheap degree floor.
+            ctx.timed_out = true;
+            ctx.note("deadline fired mid-search → best incumbent");
+            let lb = root.unwrap_or_else(|| SpanBound::degree(degree_bound(ctx.g, ctx.p)));
+            Some((sol, Strategy::BranchBound, lb, false))
+        }
+        BbStatus::BudgetExhausted => None,
+    })
 }
 
 /// One member of the racing portfolio.
@@ -677,18 +644,11 @@ fn run_race_member(
             strategy,
             proved: false,
         },
-        RaceMember::L1 => {
-            let engine = if g.n() <= L1_EXACT_MAX_N {
-                L1Engine::Exact
-            } else {
-                L1Engine::Dsatur
-            };
-            MemberRun {
-                solution: solve_pmax_approx(g, p, engine),
-                strategy,
-                proved: false,
-            }
-        }
+        RaceMember::L1 => MemberRun {
+            solution: solve_pmax_approx(g, p, l1_engine(g)),
+            strategy,
+            proved: false,
+        },
         RaceMember::Lk { seed_salt } => {
             let reduced = reduced.expect("LK members race only with a reduction");
             // Exactly the Strategy::Heuristic configuration (one shared
@@ -750,7 +710,7 @@ fn race_route(
     req: &SolveRequest,
     features: &InstanceFeatures,
     deadline: &Deadline,
-) -> Result<(Solution, Strategy, SpanBound, bool), EngineError> {
+) -> Result<Routed, EngineError> {
     // Sharing (incumbent bound + first-proof cancellation) is armed only
     // under a wall-clock deadline: cross-member effects depend on timing,
     // and the deadline-free contract is bit-identical reports across
@@ -889,7 +849,7 @@ fn diam2_route(
     ctx: &mut Ctx<'_>,
     features: &InstanceFeatures,
     explicit: bool,
-) -> Result<(Solution, Strategy, SpanBound, bool), EngineError> {
+) -> Result<Routed, EngineError> {
     let g = ctx.g;
     let p = ctx.p;
     if features.k != 2 {
@@ -967,23 +927,15 @@ fn diam2_route(
 /// Reduction-free upper bounds: greedy first-fit vs. the `p_max`-scaled
 /// coloring (Corollary 3), both valid on any graph. Deterministic pick:
 /// smaller span wins, ties to greedy.
-fn fallback_portfolio(
-    ctx: &mut Ctx<'_>,
-    _features: &InstanceFeatures,
-) -> (Solution, Strategy, SpanBound, bool) {
+fn fallback_portfolio(ctx: &mut Ctx<'_>, deadline: &Deadline) -> Routed {
     let g = ctx.g;
     let p = ctx.p;
     let greedy = solve_greedy(g, p);
     ctx.routes_tried.push(Strategy::Greedy);
-    let engine = if g.n() <= L1_EXACT_MAX_N {
-        L1Engine::Exact
-    } else {
-        L1Engine::Dsatur
-    };
-    let pmax = solve_pmax_approx(g, p, engine);
+    let pmax = solve_pmax_approx(g, p, l1_engine(g));
     ctx.routes_tried.push(Strategy::L1Coloring);
     let lb = degree_bound(g, p);
-    if pmax.span < greedy.span {
+    let out = if pmax.span < greedy.span {
         ctx.note(format!(
             "p_max-coloring {} beat greedy {}",
             pmax.span, greedy.span
@@ -993,23 +945,21 @@ fn fallback_portfolio(
     } else {
         let proved = greedy.span == lb;
         (greedy, Strategy::Greedy, SpanBound::degree(lb), proved)
-    }
+    };
+    // Neither bound is interruptible; an overrun is reported rather than
+    // hidden behind whatever certificate the caller settles for.
+    ctx.overrun(deadline, "deadline fired during reduction-free fallback");
+    out
 }
 
-/// The `L1Coloring` strategy body: `p_max`-scaled coloring of `G^k`.
-/// Returns `(solution, coloring_was_exact)`.
-fn l1_route(ctx: &mut Ctx<'_>, req: &SolveRequest) -> (Solution, bool) {
-    let g = &req.graph;
-    let exact = g.n() <= L1_EXACT_MAX_N;
-    let engine = if exact {
+/// The coloring engine for `G^k`: exact up to [`L1_EXACT_MAX_N`], DSATUR
+/// past it.
+fn l1_engine(g: &Graph) -> L1Engine {
+    if g.n() <= L1_EXACT_MAX_N {
         L1Engine::Exact
     } else {
         L1Engine::Dsatur
-    };
-    ctx.note(format!("coloring G^{} with {:?}", req.pvec.k(), engine));
-    let sol = solve_pmax_approx(g, &req.pvec, engine);
-    ctx.routes_tried.push(Strategy::L1Coloring);
-    (sol, exact)
+    }
 }
 
 /// Lower-bound certificate from the request's single reduction (checked

@@ -18,9 +18,9 @@
 //! * [`Strategy`] names every route (`Exact`, `BranchBound`, `Approx15`,
 //!   `Heuristic`, `Greedy`, `Diam2Pip`, `L1Coloring`) plus [`Strategy::Auto`],
 //!   the portfolio dispatcher: small → Held–Karp, benign (two-valued
-//!   diameter-2) → PIP or budgeted branch-and-bound, else chained-LK raced
-//!   against Christofides — with the Theorem 2 reduction computed **once**
-//!   per request and shared across candidate routes — and
+//!   diameter-2) → PIP or budgeted branch-and-bound, else chained LK —
+//!   with the Theorem 2 reduction computed **once** per request and
+//!   shared across candidate routes — and
 //!   [`Strategy::Race`], the concurrent portfolio with a shared incumbent
 //!   bound and first-proof cancellation.
 //! * [`Budget::deadline_ms`] makes any solve *anytime*: routes check the

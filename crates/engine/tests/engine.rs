@@ -4,6 +4,7 @@
 
 use dclab_core::bounds::span_lower_bound;
 use dclab_core::guard::EXACT_MAX_N;
+use dclab_core::hardness::griggs_yeh_reduction;
 use dclab_core::pvec::PVec;
 use dclab_core::solver::solve_exact;
 use dclab_engine::{solve, solve_batch, Budget, EngineError, SolveRequest, Strategy};
@@ -42,6 +43,30 @@ fn mixed_corpus() -> Vec<(Graph, PVec)> {
     out.push((classic::grid(3, 3), PVec::new(vec![2, 1, 1]).unwrap()));
     // Disconnected.
     out.push((Graph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]), PVec::l21()));
+    out.extend(lk_leg_instances(&mut rng));
+    out
+}
+
+/// Smooth, reducible instances past the exact guard and outside the
+/// two-valued regime, so `Auto` ends on its chained-LK leg: G(n,p) with
+/// diameter ≤ 3 under p = (4,3,2), diameter-2 G(n,p) under p = (2,1,1),
+/// and Griggs–Yeh (Theorem 3) instances under p = (4,3,2).
+fn lk_leg_instances(rng: &mut StdRng) -> Vec<(Graph, PVec)> {
+    let p432 = PVec::new(vec![4, 3, 2]).unwrap();
+    let p211 = PVec::new(vec![2, 1, 1]).unwrap();
+    let mut out = Vec::new();
+    for (n, density) in [(30usize, 0.3), (120, 0.16), (250, 0.13)] {
+        out.push((
+            random::gnp_with_diameter_at_most(rng, n, density, 3),
+            p432.clone(),
+        ));
+        out.push((
+            random::gnp_with_diameter_at_most(rng, n, 0.5, 2),
+            p211.clone(),
+        ));
+        let h = griggs_yeh_reduction(&random::gnp(rng, n - 1, 0.5));
+        out.push((h, p432.clone()));
+    }
     out
 }
 
@@ -69,7 +94,46 @@ fn auto_always_valid_and_above_lower_bound() {
             report.stats.reductions_computed
         );
         assert!(!report.stats.routes_tried.is_empty());
+        assert!(
+            !report.stats.routes_tried.contains(&Strategy::Approx15),
+            "instance {i}: Auto ran Christofides"
+        );
     }
+}
+
+#[test]
+fn auto_lk_leg_is_the_heuristic_strategy() {
+    let mut lk_legs = 0;
+    for (i, (g, p)) in mixed_corpus().into_iter().enumerate() {
+        let run = |strategy| {
+            solve(&SolveRequest::new(g.clone(), p.clone()).with_strategy(strategy))
+                .unwrap_or_else(|e| panic!("instance {i} {strategy}: {e}"))
+        };
+        let auto = run(Strategy::Auto);
+        // The shape Auto sends straight to chained LK.
+        let f = &auto.stats.features;
+        if !(f.reducible() && f.smooth && !f.two_valued && f.n > EXACT_MAX_N) {
+            continue;
+        }
+        lk_legs += 1;
+        let lk = run(Strategy::Heuristic);
+        assert_eq!(
+            (auto.strategy_used, auto.solution.span, auto.lower_bound),
+            (lk.strategy_used, lk.solution.span, lk.lower_bound),
+            "instance {i}: Auto's LK leg differs from Strategy::Heuristic"
+        );
+        // Auto leaves Christofides out because it never beats chained LK
+        // here; this fails the day an LK change lets it.
+        let approx = run(Strategy::Approx15);
+        assert!(
+            approx.solution.span >= auto.solution.span,
+            "instance {i} (n={}): Christofides {} beat Auto {}",
+            g.n(),
+            approx.solution.span,
+            auto.solution.span
+        );
+    }
+    assert_eq!(lk_legs, 9, "LK-leg instances in the corpus");
 }
 
 #[test]

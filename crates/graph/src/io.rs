@@ -272,12 +272,6 @@ pub fn write_dimacs(g: &Graph) -> String {
     out
 }
 
-/// Read a graph from a file, guessing the format from the extension.
-pub fn read_file(path: &str) -> Result<Graph, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse(&text, Format::from_path(path)).map_err(|e| format!("{path}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,13 +27,13 @@
 //!   the mesh degrades to independent replicas instead of erroring, which
 //!   is what keeps a soak 5xx-free through single-replica restarts.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use dclab_graph::canon::Fnv64;
 
-use crate::http::Request;
+use crate::http::{read_response, Request, Response};
 
 /// Loop-prevention header: present on replica-to-replica forwarded
 /// requests; its value is the proxying replica's address.
@@ -115,26 +115,13 @@ impl Cluster {
     }
 }
 
-/// A relayed upstream response: status, the upstream's `x-dclab-cache`
-/// header when present, and the body verbatim.
-pub struct ProxiedResponse {
-    pub status: u16,
-    pub cache_status: Option<String>,
-    pub body: Vec<u8>,
-}
-
 /// Forward `req` to the owning replica and relay its response. The
 /// request is re-sent with its original target (query string and all) and
 /// body; `connection: close` keeps the proxy protocol trivially correct
 /// (replica-to-replica connections are cheap on the reactor). Any error —
 /// connect, timeout, malformed upstream response — returns `Err` and the
 /// caller solves locally instead.
-pub fn proxy(
-    owner: &str,
-    req: &Request,
-    rid: &str,
-    self_addr: &str,
-) -> std::io::Result<ProxiedResponse> {
+pub fn proxy(owner: &str, req: &Request, rid: &str, self_addr: &str) -> std::io::Result<Response> {
     let addr = owner
         .parse::<std::net::SocketAddr>()
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
@@ -155,76 +142,7 @@ pub fn proxy(
     stream.write_all(head.as_bytes())?;
     stream.write_all(&req.body)?;
     stream.flush()?;
-    read_proxy_response(&mut stream)
-}
-
-fn bad(msg: &'static str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-/// Read one `connection: close` HTTP response: status line, headers,
-/// `content-length` body.
-fn read_proxy_response(stream: &mut impl Read) -> std::io::Result<ProxiedResponse> {
-    let mut buf = Vec::with_capacity(4096);
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("upstream closed before response head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.len() > 64 * 1024 {
-            return Err(bad("upstream response head too large"));
-        }
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-UTF-8 head"))?;
-    let mut lines = head.lines();
-    let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status line"))?;
-    let mut content_length = None;
-    let mut cache_status = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        if name == "content-length" {
-            content_length = value.parse::<usize>().ok();
-        } else if name == "x-dclab-cache" {
-            cache_status = Some(value.to_string());
-        }
-    }
-    let content_length = content_length.ok_or_else(|| bad("missing content-length"))?;
-    if content_length > crate::http::MAX_BODY_BYTES {
-        return Err(bad("upstream body too large"));
-    }
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        let mut chunk = [0u8; 8192];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("upstream closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok(ProxiedResponse {
-        status,
-        cache_status,
-        body,
-    })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+    read_response(&mut BufReader::new(stream))
 }
 
 #[cfg(test)]
@@ -311,30 +229,5 @@ mod tests {
             fraction < 0.55,
             "adding a replica moved {fraction:.2} of keys"
         );
-    }
-
-    #[test]
-    fn proxy_response_parser_handles_split_reads() {
-        // A reader that returns one byte at a time exercises the head/body
-        // accumulation paths.
-        struct OneByte<'a>(&'a [u8], usize);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.0[self.1];
-                self.1 += 1;
-                Ok(1)
-            }
-        }
-        let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nx-dclab-cache: hit\r\n\r\nhello";
-        let resp = read_proxy_response(&mut OneByte(raw, 0)).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.cache_status.as_deref(), Some("hit"));
-        assert_eq!(resp.body, b"hello");
-        // Truncated upstream is an error, not a phantom success.
-        let trunc = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhe";
-        assert!(read_proxy_response(&mut OneByte(trunc, 0)).is_err());
     }
 }

@@ -13,12 +13,17 @@
 //! [`read_request_buffered`]), which is what makes their responses
 //! byte-identical by construction.
 //!
+//! The client side is one bounded reader, [`read_response`], shared by the
+//! load generator's [`Client`](crate::loadgen::Client) and the cluster
+//! proxy.
+//!
 //! Not a general web server: no chunked transfer encoding, no multipart,
 //! no TLS. Clients that need those get a clean 4xx, not undefined behavior.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Upper bound on the request line + headers block.
+/// Upper bound on the request line + headers block (and on a response's
+/// status line + headers block in [`read_response`]).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Default upper bound on a request body (instances beyond this are absurd
 /// for small-diameter graphs and would only stall a worker). Overridable
@@ -362,6 +367,81 @@ pub fn percent_decode(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
+/// A response as a client reads it.
+#[derive(Debug)]
+pub struct Response {
+    pub status: u16,
+    /// Header `(name, value)` pairs; names lower-cased.
+    pub headers: Vec<(String, String)>,
+    pub body: String,
+}
+
+impl Response {
+    /// Header value (name matched case-insensitively at parse time).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(k, _)| k == &name.to_ascii_lowercase())
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// Read one `content-length`-framed response. Both limits hold before
+/// anything is allocated for them: the head may not exceed
+/// [`MAX_HEAD_BYTES`] and the declared body may not exceed
+/// [`MAX_BODY_BYTES`], so a broken or hostile peer costs an `InvalidData`
+/// error, never an unbounded allocation. EOF before the first byte is
+/// `UnexpectedEof`; reading stops exactly at the body's end, so a
+/// keep-alive connection stays aligned on the next response.
+pub fn read_response(reader: &mut impl BufRead) -> std::io::Result<Response> {
+    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
+    let mut head = String::new();
+    let mut limited = reader.by_ref().take(MAX_HEAD_BYTES as u64);
+    loop {
+        let start = head.len();
+        if limited.read_line(&mut head)? == 0 {
+            return Err(if head.is_empty() {
+                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed")
+            } else {
+                bad("truncated or oversized response head")
+            });
+        }
+        if matches!(&head[start..], "\r\n" | "\n") {
+            break;
+        }
+    }
+    let mut lines = head.lines();
+    let status = lines
+        .next()
+        .and_then(|line| line.split_whitespace().nth(1))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| bad("bad status line"))?;
+    let mut headers = Vec::new();
+    for line in lines.take_while(|line| !line.is_empty()) {
+        let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    let mut response = Response {
+        status,
+        headers,
+        body: String::new(),
+    };
+    let len: usize = response
+        .header("content-length")
+        .ok_or_else(|| bad("missing content-length"))?
+        .parse()
+        .map_err(|_| bad("bad content-length"))?;
+    if len > MAX_BODY_BYTES {
+        return Err(bad(&format!(
+            "response body of {len} bytes exceeds {MAX_BODY_BYTES}"
+        )));
+    }
+    let mut body = vec![0; len];
+    reader.read_exact(&mut body)?;
+    response.body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
+    Ok(response)
+}
+
 /// Canonical reason phrase for the status codes the service emits.
 pub fn reason(status: u16) -> &'static str {
     match status {
@@ -627,6 +707,55 @@ mod tests {
         assert_eq!(req.path, "/healthz");
         assert_eq!(req.version_minor, 0);
         assert!(!req.keep_alive());
+    }
+
+    #[test]
+    fn response_reader_handles_split_reads_and_truncation() {
+        // A reader that returns one byte at a time exercises the head/body
+        // accumulation paths.
+        struct OneByte<'a>(&'a [u8]);
+        impl Read for OneByte<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let Some((&b, rest)) = self.0.split_first() else {
+                    return Ok(0);
+                };
+                buf[0] = b;
+                self.0 = rest;
+                Ok(1)
+            }
+        }
+        let read = |raw: &[u8]| read_response(&mut std::io::BufReader::new(OneByte(raw)));
+        let raw = b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\nX-Dclab-Cache: hit\r\n\r\nhello";
+        let resp = read(raw).unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("x-dclab-cache"), Some("hit"));
+        assert_eq!(resp.body, "hello");
+        // Truncated upstream is an error, not a phantom success.
+        assert!(read(b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\n\r\nhe").is_err());
+        assert!(read(b"HTTP/1.1 200 OK\r\ncontent-").is_err());
+        assert!(
+            read(b"HTTP/1.1 200 OK\r\n\r\n").is_err(),
+            "no content-length"
+        );
+        let eof = read(b"").unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn response_reader_bounds_head_and_declared_body() {
+        let huge = b"HTTP/1.1 200 OK\r\ncontent-length: 1000000000000\r\n\r\n";
+        let err = read_response(&mut &huge[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A head that never ends is cut off at the cap, not buffered whole.
+        let mut endless = b"HTTP/1.1 200 OK\r\nx: ".to_vec();
+        endless.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES * 2));
+        let err = read_response(&mut &endless[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Keep-alive: the reader stops at the body's end.
+        let two = b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\n\r\nokHTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n";
+        let mut r = &two[..];
+        assert_eq!(read_response(&mut r).unwrap().body, "ok");
+        assert_eq!(read_response(&mut r).unwrap().status, 404);
     }
 
     #[test]

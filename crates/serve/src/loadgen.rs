@@ -8,7 +8,7 @@
 //! CI cluster-soak job (`dclab loadgen --addrs a,b`), and ad-hoc load
 //! tests against a live server.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -18,23 +18,7 @@ use dclab_graph::io as graph_io;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A response as the client sees it.
-#[derive(Debug)]
-pub struct ClientResponse {
-    pub status: u16,
-    /// Lower-cased header names.
-    pub headers: Vec<(String, String)>,
-    pub body: String,
-}
-
-impl ClientResponse {
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == &name.to_ascii_lowercase())
-            .map(|(_, v)| v.as_str())
-    }
-}
+use crate::http::{read_response, Response};
 
 /// Blocking keep-alive HTTP/1.1 client for one server.
 pub struct Client {
@@ -58,12 +42,7 @@ impl Client {
     }
 
     /// Send one request; retries once on a stale keep-alive connection.
-    pub fn request(
-        &mut self,
-        method: &str,
-        target: &str,
-        body: &str,
-    ) -> std::io::Result<ClientResponse> {
+    pub fn request(&mut self, method: &str, target: &str, body: &str) -> std::io::Result<Response> {
         self.request_with_headers(method, target, &[], body)
     }
 
@@ -75,7 +54,7 @@ impl Client {
         target: &str,
         headers: &[(&str, &str)],
         body: &str,
-    ) -> std::io::Result<ClientResponse> {
+    ) -> std::io::Result<Response> {
         match self.request_once(method, target, headers, body) {
             Ok(r) => Ok(r),
             Err(_) => {
@@ -92,7 +71,7 @@ impl Client {
         target: &str,
         headers: &[(&str, &str)],
         body: &str,
-    ) -> std::io::Result<ClientResponse> {
+    ) -> std::io::Result<Response> {
         let addr = self.addr;
         let reader = self.connect()?;
         let mut head = format!(
@@ -110,69 +89,16 @@ impl Client {
         stream.write_all(head.as_bytes())?;
         stream.write_all(body.as_bytes())?;
         stream.flush()?;
-        match read_response(reader) {
-            Ok((response, close)) => {
-                if close {
-                    self.conn = None;
-                }
-                Ok(response)
-            }
-            Err(e) => {
-                self.conn = None;
-                Err(e)
-            }
+        let response = read_response(reader);
+        let close = response.as_ref().map_or(true, |r| {
+            r.header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        });
+        if close {
+            self.conn = None;
         }
+        response
     }
-}
-
-/// Read one response; the flag reports a `Connection: close` server side.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(ClientResponse, bool)> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed",
-        ));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("bad status line"))?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    let mut close = false;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad("truncated headers"));
-        }
-        if line == "\r\n" || line == "\n" {
-            break;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-        }
-        if name == "connection" && value.eq_ignore_ascii_case("close") {
-            close = true;
-        }
-        headers.push((name, value));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
-    Ok((
-        ClientResponse {
-            status,
-            headers,
-            body,
-        },
-        close,
-    ))
 }
 
 /// One scripted request.

@@ -1,14 +1,14 @@
 //! The solve service: configuration, request routing, and handlers.
 //!
 //! Architecture (default, Linux): one **epoll reactor thread**
-//! ([`crate::reactor`]) owns every connection as a readiness-driven state
+//! (`reactor`) owns every connection as a readiness-driven state
 //! machine; only `POST /solve` and `POST /batch` are dispatched to the
 //! fixed [`WorkerPool`] (bounded queue → back-pressure; overflow is shed
 //! `503` + `Retry-After` *before* a worker is consumed). Every other
 //! endpoint is answered inline on the reactor thread, so `/metrics` and
 //! `/debug/*` stay responsive while all workers are saturated. The
 //! pre-reactor thread-per-connection path survives behind
-//! `--legacy-blocking` ([`crate::blocking`]) as the differential oracle
+//! `--legacy-blocking` (`blocking`) as the differential oracle
 //! and the non-Linux fallback.
 //!
 //! Cluster mode (`--cluster a:p1,b:p2,...`, [`crate::cluster`]) makes each
@@ -727,12 +727,10 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
                         .cluster_forwarded
                         .fetch_add(1, Ordering::Relaxed);
                     let mut extra = vec![("x-dclab-routed", "forwarded".to_string())];
-                    if let Some(cs) = up.cache_status {
-                        extra.push(("x-dclab-cache", cs));
+                    if let Some(cs) = up.header("x-dclab-cache") {
+                        extra.push(("x-dclab-cache", cs.to_string()));
                     }
-                    let body = String::from_utf8(up.body)
-                        .unwrap_or_else(|_| error_json("upstream returned non-UTF-8", "internal"));
-                    return (up.status, extra, body);
+                    return (up.status, extra, up.body);
                 }
                 Some(Err(_)) | None => {
                     // Owner unreachable, or no proxy permit free: degrade

@@ -1,6 +1,7 @@
 //! End-to-end tests: a real server on an ephemeral port, a real TCP
 //! client, full request/response cycles.
 
+use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
 
 use dclab_graph::generators::classic;
@@ -8,6 +9,7 @@ use dclab_graph::io as graph_io;
 use dclab_serve::loadgen::{self, Client};
 use dclab_serve::server::{start, ServeConfig};
 use dclab_serve::ServerHandle;
+use dclab_serve::{cluster, http};
 
 fn test_server() -> (ServerHandle, Client) {
     let handle = start(ServeConfig {
@@ -667,4 +669,41 @@ fn slow_solves_hit_the_structured_log() {
     let m = dclab_engine::json::parse(&metrics.body).unwrap();
     assert!(m.get("slow_solves").and_then(|v| v.as_f64()).unwrap() >= 1.0);
     stop(handle, client);
+}
+
+#[test]
+fn clients_reject_an_oversized_declared_response_body() {
+    // A fake server that declares a terabyte body: reading it must cost
+    // the client an error, not an allocation of the declared size (which
+    // aborts the process).
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    // Three exchanges: the client retries a failed one once on a fresh
+    // connection, the proxy never retries.
+    let server = std::thread::spawn(move || {
+        for stream in listener.incoming().take(3) {
+            let mut stream = stream.unwrap();
+            // Both requests have empty bodies: the head is the whole request.
+            let mut head = Vec::new();
+            while !head.ends_with(b"\r\n\r\n") {
+                let mut byte = [0u8];
+                stream.read_exact(&mut byte).unwrap();
+                head.push(byte[0]);
+            }
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 1000000000000\r\n\r\n")
+                .unwrap();
+        }
+    });
+    let err = Client::new(addr).request("GET", "/health", "").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+
+    // The cluster proxy reads upstream replies through the same reader.
+    let raw = b"POST /solve?p=2,1 HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
+    let (req, _) = http::try_parse(raw, http::MAX_HEAD_BYTES, http::MAX_BODY_BYTES)
+        .unwrap()
+        .unwrap();
+    let err = cluster::proxy(&addr.to_string(), &req, "rid-1", "127.0.0.1:1").unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    server.join().expect("fake server");
 }

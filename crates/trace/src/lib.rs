@@ -26,7 +26,7 @@
 //!   their items, so race members and APSP blocks attach to the right
 //!   parent even on pool threads.
 //! * Finished traces ([`SolveTrace`]) go to a process-wide
-//!   [`FlightRecorder`](flight::FlightRecorder): a lock-sharded ring of the
+//!   [`FlightRecorder`]: a lock-sharded ring of the
 //!   last N solves plus the slowest K retained separately, the backing
 //!   store of serve's `GET /debug/traces` surface.
 //! * [`SolveTrace::to_json`] renders the span tree; `to_chrome_json`

@@ -104,12 +104,6 @@ pub fn greedy_edge(inst: &TspInstance) -> Vec<u32> {
     order
 }
 
-/// Nearest-neighbor *path* (no closing edge) — initial solution for
-/// path-TSP local search on the dummy-extended instance.
-pub fn nearest_neighbor_path(inst: &TspInstance, start: usize) -> Vec<u32> {
-    nearest_neighbor(inst, start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,17 +156,6 @@ impl TspInstance {
         }
         TspInstance { n, w }
     }
-
-    /// Total weight of all edges (upper bound scaffold for branch & bound).
-    pub fn total_weight(&self) -> Weight {
-        let mut s = 0;
-        for u in 0..self.n {
-            for v in (u + 1)..self.n {
-                s += self.weight(u, v);
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! * [`local_opt`] / [`two_opt`] / [`or_opt`] — the fast path: CSR
 //!   candidate lists with precomputed edge weights, gain evaluation in
 //!   fixed chunks of [`candidates::CHUNK`] with a branch-free best-gain
-//!   reduction ([`vector`]);
+//!   reduction (`vector`);
 //! * [`local_opt_scalar`] / [`two_opt_scalar`] / [`or_opt_scalar`] — the
 //!   scalar oracle: plain `Vec<Vec<u32>>` neighbor lists, weights re-read
-//!   from the matrix, one candidate at a time ([`scalar`]).
+//!   from the matrix, one candidate at a time (`scalar`).
 //!
 //! The two paths pick identical moves in identical order (best 2-opt gain
 //! over the sorted candidate prefix with lowest-index ties, then
@@ -57,7 +57,7 @@ pub struct LocalSearchConfig {
     /// Safety cap on full improvement rounds.
     pub max_rounds: usize,
     /// Cooperative wall-clock budget, checked every
-    /// [`DEADLINE_SCAN_MASK`]` + 1` city scans (and between chained-LK
+    /// `DEADLINE_SCAN_MASK + 1` city scans (and between chained-LK
     /// kicks upstream). The default [`Deadline::none`] never fires and
     /// costs an amortized branch, keeping deadline-free runs bit-identical
     /// to the pre-deadline code.
@@ -339,22 +339,11 @@ pub fn or_opt(
     vector::descent(inst, state, cands, cfg, &mut dlb, false, true)
 }
 
-/// The scalar oracle twin of [`local_opt_with_dlb`]: identical descent
-/// semantics over plain sorted neighbor lists, weights read from the
-/// matrix. Kept simple on purpose — it is the reference the differential
-/// property suite compares the vectorized path against, and the baseline
-/// the `e14_localsearch` speedup is measured over.
-pub fn local_opt_scalar_with_dlb(
-    inst: &TspInstance,
-    state: &mut TourState,
-    neighbors: &[Vec<u32>],
-    cfg: &LocalSearchConfig,
-    dlb: &mut [bool],
-) -> Weight {
-    scalar::descent(inst, state, neighbors, cfg, dlb, true, cfg.or_opt)
-}
-
-/// Scalar oracle twin of [`local_opt`].
+/// The scalar oracle twin of [`local_opt`]: identical descent semantics
+/// over plain sorted neighbor lists, weights read from the matrix. Kept
+/// simple on purpose — it is the reference the differential property
+/// suite compares the vectorized path against, and the baseline the
+/// `e14_localsearch` speedup is measured over.
 pub fn local_opt_scalar(
     inst: &TspInstance,
     state: &mut TourState,

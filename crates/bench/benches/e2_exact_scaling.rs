@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dclab_bench::{diam2_graph, l21};
 use dclab_core::baseline::exact::exact_labeling_bruteforce;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use std::hint::black_box;
 
 fn bench_exact(c: &mut Criterion) {
@@ -14,7 +15,7 @@ fn bench_exact(c: &mut Criterion) {
     for n in [10usize, 12, 14, 16] {
         let g = diam2_graph(n, 2);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| solve_exact(black_box(g), &p).unwrap())
+            b.iter(|| exact_route(&reduce_to_path_tsp(black_box(g), &p).unwrap()).unwrap())
         });
     }
     group.finish();

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dclab_bench::{diam2_graph, l21};
-use dclab_core::solver::solve_approx15;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::approx15_route;
+use dclab_tsp::matching::MatchingBackend;
 use std::hint::black_box;
 
 fn bench_approx(c: &mut Criterion) {
@@ -13,7 +15,10 @@ fn bench_approx(c: &mut Criterion) {
     for n in [20usize, 60, 150, 400] {
         let g = diam2_graph(n, 3);
         group.bench_with_input(BenchmarkId::from_parameter(n), &g, |b, g| {
-            b.iter(|| solve_approx15(black_box(g), &p).unwrap())
+            b.iter(|| {
+                let reduced = reduce_to_path_tsp(black_box(g), &p).unwrap();
+                approx15_route(&reduced, MatchingBackend::Auto)
+            })
         });
     }
     group.finish();

@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dclab_bench::{diam2_graph, l21};
 use dclab_core::l1::{solve_pmax_approx, L1Engine};
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use std::hint::black_box;
 
 fn bench_pmax(c: &mut Criterion) {
@@ -13,7 +14,7 @@ fn bench_pmax(c: &mut Criterion) {
     group.sample_size(10);
     let g = diam2_graph(12, 8);
     group.bench_function("exact_tsp_route_n12", |b| {
-        b.iter(|| solve_exact(black_box(&g), &p).unwrap())
+        b.iter(|| exact_route(&reduce_to_path_tsp(black_box(&g), &p).unwrap()).unwrap())
     });
     group.bench_function("pmax_approx_exact_coloring_n12", |b| {
         b.iter(|| solve_pmax_approx(black_box(&g), &p, L1Engine::Exact))

@@ -7,11 +7,25 @@
 
 use criterion::{criterion_main, BenchmarkId, Criterion};
 use dclab_bench::{diam2_graph, l21};
-use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::reduction::{reduce_to_path_tsp, ReducedInstance};
 use dclab_core::routes;
-use dclab_core::solver::{solve_exact, solve_heuristic};
 use dclab_engine::{solve, solve_batch, SolveRequest, Strategy};
+use dclab_par::Deadline;
+use dclab_tsp::exact::BbStatus;
+use dclab_tsp::matching::MatchingBackend;
 use std::hint::black_box;
+
+/// Branch-and-bound span under a 100k node budget; `u64::MAX` when the
+/// budget runs out before optimality is proved.
+fn bb_span(reduced: &ReducedInstance) -> u64 {
+    let (sol, status) =
+        routes::branch_bound_route_anytime(reduced, 100_000, &Deadline::none(), None, None);
+    if status == BbStatus::Proved {
+        sol.span
+    } else {
+        u64::MAX
+    }
+}
 
 fn bench_dispatch_overhead(c: &mut Criterion) {
     // Small instance: Auto resolves to Held–Karp. Overhead = features +
@@ -24,7 +38,12 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("direct/{n}")),
             &g,
-            |b, g| b.iter(|| solve_exact(black_box(g), &p).unwrap()),
+            |b, g| {
+                b.iter(|| {
+                    let reduced = reduce_to_path_tsp(black_box(g), &p).unwrap();
+                    routes::exact_route(&reduced).unwrap()
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("auto/{n}")),
@@ -35,7 +54,8 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     group.finish();
 
     // Larger instance: Auto goes through PIP/BB; direct comparator is the
-    // heuristic wrapper (what callers used before the engine existed).
+    // heuristic route over a fresh reduction (what callers used before the
+    // engine existed).
     let mut group = c.benchmark_group("e9_auto_vs_direct_large");
     group.sample_size(10);
     for n in [60usize, 120] {
@@ -44,7 +64,12 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("heuristic/{n}")),
             &g,
-            |b, g| b.iter(|| solve_heuristic(black_box(g), &p).unwrap()),
+            |b, g| {
+                b.iter(|| {
+                    let reduced = reduce_to_path_tsp(black_box(g), &p).unwrap();
+                    routes::heuristic_route(&reduced, &Default::default())
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("auto/{n}")),
@@ -54,8 +79,8 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // Route-layer reuse: reduction once + N routes vs. N wrapper calls
-    // that each re-reduce.
+    // Route-layer reuse: reduction once + N routes vs. N routes that each
+    // re-reduce.
     let mut group = c.benchmark_group("e9_shared_reduction");
     group.sample_size(10);
     let g = diam2_graph(120, 9);
@@ -64,23 +89,16 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
         b.iter(|| {
             let reduced = reduce_to_path_tsp(black_box(&g), &p).unwrap();
             let a = routes::heuristic_route(&reduced, &Default::default()).span;
-            let b2 =
-                routes::approx15_route(&reduced, dclab_tsp::matching::MatchingBackend::Auto).span;
-            let c2 = routes::branch_bound_route(&reduced, 100_000)
-                .map(|s| s.span)
-                .unwrap_or(u64::MAX);
-            (a, b2, c2)
+            let b2 = routes::approx15_route(&reduced, MatchingBackend::Auto).span;
+            (a, b2, bb_span(&reduced))
         })
     });
     group.bench_function("re_reduce_three_wrappers", |b| {
         b.iter(|| {
-            let a = solve_heuristic(black_box(&g), &p).unwrap().span;
-            let b2 = dclab_core::solver::solve_approx15(&g, &p).unwrap().span;
-            let c2 = dclab_core::solver::solve_exact_branch_bound(&g, &p, 100_000)
-                .unwrap()
-                .map(|s| s.span)
-                .unwrap_or(u64::MAX);
-            (a, b2, c2)
+            let reduce = || reduce_to_path_tsp(black_box(&g), &p).unwrap();
+            let a = routes::heuristic_route(&reduce(), &Default::default()).span;
+            let b2 = routes::approx15_route(&reduce(), MatchingBackend::Auto).span;
+            (a, b2, bb_span(&reduce()))
         })
     });
     group.finish();

@@ -112,13 +112,6 @@ LOADGEN FLAGS:
   hit rate, x-dclab-routed tallies, sheds, hard_5xx
 ";
 
-fn parse_pvec(s: &str) -> Result<PVec, String> {
-    let entries: Result<Vec<u64>, _> = s.split(',').map(|t| t.trim().parse::<u64>()).collect();
-    let entries = entries.map_err(|e| format!("bad p-vector '{s}': {e}"))?;
-    PVec::new(entries)
-        .ok_or_else(|| format!("bad p-vector '{s}': must be non-empty and not all-zero"))
-}
-
 fn parse_opts(args: &[String]) -> Result<(Vec<String>, Opts), String> {
     let mut positional = Vec::new();
     let mut opts = Opts {
@@ -138,7 +131,7 @@ fn parse_opts(args: &[String]) -> Result<(Vec<String>, Opts), String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
-            "--p" => opts.pvec = parse_pvec(&flag_value("--p")?)?,
+            "--p" => opts.pvec = flag_value("--p")?.parse()?,
             "--strategy" => opts.strategy = flag_value("--strategy")?.parse()?,
             "--node-budget" => {
                 let v = flag_value("--node-budget")?;
@@ -164,13 +157,7 @@ fn parse_opts(args: &[String]) -> Result<(Vec<String>, Opts), String> {
                 // (see `dclab_par::default_threads`).
                 dclab_par::set_thread_override(Some(n));
             }
-            "--format" => {
-                opts.format = Some(match flag_value("--format")?.as_str() {
-                    "edgelist" | "edge-list" => io::Format::EdgeList,
-                    "dimacs" | "col" => io::Format::Dimacs,
-                    other => return Err(format!("unknown format '{other}'")),
-                })
-            }
+            "--format" => opts.format = Some(flag_value("--format")?.parse()?),
             "--oracle" => opts.oracle = flag_value("--oracle")?.parse()?,
             "--store" => opts.store = Some(flag_value("--store")?),
             "--trace" => opts.trace_out = Some(flag_value("--trace")?),

@@ -8,7 +8,8 @@
 use super::header;
 use dclab_core::baseline::exact::exact_labeling_bruteforce;
 use dclab_core::pvec::PVec;
-use dclab_core::solver::{solve_exact, SolveError};
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_graph::generators::{classic, random};
 use dclab_graph::Graph;
 use rand::rngs::StdRng;
@@ -54,21 +55,19 @@ pub fn run(quick: bool) {
             if g.n() > 9 {
                 continue;
             }
-            match solve_exact(g, p) {
-                Ok(sol) => {
-                    eligible += 1;
-                    let (_, want) = exact_labeling_bruteforce(g, p);
-                    let valid = sol.labeling.validate(g, p).is_ok();
-                    if sol.span == want && valid {
-                        agree += 1;
-                        max_span = max_span.max(sol.span);
-                    } else {
-                        mismatch += 1;
-                        eprintln!("MISMATCH: p={p} g={g:?} got={} want={want}", sol.span);
-                    }
-                }
-                Err(SolveError::Reduction(_)) => {} // out of Theorem 2 scope
-                Err(e) => panic!("unexpected solver error: {e}"),
+            let Ok(reduced) = reduce_to_path_tsp(g, p) else {
+                continue; // out of Theorem 2 scope
+            };
+            let sol = exact_route(&reduced).expect("n ≤ 9 is within the exact guard");
+            eligible += 1;
+            let (_, want) = exact_labeling_bruteforce(g, p);
+            let valid = sol.labeling.validate(g, p).is_ok();
+            if sol.span == want && valid {
+                agree += 1;
+                max_span = max_span.max(sol.span);
+            } else {
+                mismatch += 1;
+                eprintln!("MISMATCH: p={p} g={g:?} got={} want={want}", sol.span);
             }
         }
         println!(

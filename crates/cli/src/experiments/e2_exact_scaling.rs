@@ -8,7 +8,8 @@
 use super::{header, ms, timed};
 use dclab_core::baseline::exact::exact_labeling_bruteforce;
 use dclab_core::pvec::PVec;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_graph::generators::random;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +26,7 @@ pub fn run(quick: bool) {
     let mut prev_hk = 0.0f64;
     for n in (8..=max_n).step_by(2) {
         let g = random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
-        let (sol, hk_ms) = timed(|| solve_exact(&g, &p).unwrap());
+        let (sol, hk_ms) = timed(|| exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap());
         let oracle = if n <= 10 {
             let (res, o_ms) = timed(|| exact_labeling_bruteforce(&g, &p));
             assert_eq!(res.1, sol.span);

@@ -6,9 +6,11 @@
 
 use super::header;
 use dclab_core::pvec::PVec;
-use dclab_core::solver::{solve_approx15, solve_exact};
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::{approx15_route, exact_route};
 use dclab_graph::generators::{classic, random};
 use dclab_graph::Graph;
+use dclab_tsp::matching::MatchingBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,8 +60,9 @@ pub fn run(quick: bool) {
         let mut ratios = Vec::new();
         for _ in 0..trials {
             let g = gen(&mut rng);
-            let exact = solve_exact(&g, &p).unwrap();
-            let approx = solve_approx15(&g, &p).unwrap();
+            let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+            let exact = exact_route(&reduced).unwrap();
+            let approx = approx15_route(&reduced, MatchingBackend::Auto);
             assert!(approx.labeling.validate(&g, &p).is_ok());
             assert!(2 * approx.span <= 3 * exact.span, "ratio guarantee breach");
             ratios.push(approx.span as f64 / exact.span.max(1) as f64);

@@ -8,7 +8,8 @@
 use super::{header, ms, timed};
 use dclab_core::diam2::{solve_diam2_lpq, PipSolver};
 use dclab_core::pvec::PVec;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_graph::generators::random;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +31,7 @@ pub fn run(quick: bool) {
         let mut on_complement = false;
         for _ in 0..trials {
             let g = random::gnp_with_diameter_at_most(&mut rng, 12, 0.5, 2);
-            let tsp = solve_exact(&g, &pv).unwrap();
+            let tsp = exact_route(&reduce_to_path_tsp(&g, &pv).unwrap()).unwrap();
             let pip = solve_diam2_lpq(&g, p, q, PipSolver::SubsetDp).unwrap();
             assert_eq!(tsp.span, pip.span, "Corollary 2 equality failed");
             on_complement = pip.on_complement;

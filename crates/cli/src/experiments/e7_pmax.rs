@@ -7,7 +7,8 @@
 use super::header;
 use dclab_core::l1::{solve_pmax_approx, L1Engine};
 use dclab_core::pvec::PVec;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_graph::generators::random;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +32,7 @@ pub fn run(quick: bool) {
         let mut ratios = Vec::new();
         for _ in 0..trials {
             let g = random::gnp_with_diameter_at_most(&mut rng, 11, 0.5, p.k() as u32);
-            let opt = solve_exact(&g, p).unwrap();
+            let opt = exact_route(&reduce_to_path_tsp(&g, p).unwrap()).unwrap();
             let approx = solve_pmax_approx(&g, p, L1Engine::Exact);
             assert!(approx.labeling.validate(&g, p).is_ok());
             assert!(

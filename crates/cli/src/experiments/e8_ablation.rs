@@ -8,7 +8,7 @@
 use super::{header, ms, timed};
 use dclab_core::pvec::PVec;
 use dclab_core::reduction::reduce_to_path_tsp;
-use dclab_core::solver::{solve_approx15_with_backend, solve_exact};
+use dclab_core::routes::{approx15_route, exact_route};
 use dclab_graph::generators::random;
 use dclab_tsp::driver::{solve_path_heuristic, HeuristicConfig};
 use dclab_tsp::lk::ChainedLkConfig;
@@ -91,8 +91,9 @@ pub fn run(quick: bool) {
         let mut ratios = Vec::new();
         for _ in 0..trials {
             let g = random::gnp_with_diameter_at_most(&mut rng, 14, 0.45, 2);
-            let exact = solve_exact(&g, &p).unwrap();
-            let approx = solve_approx15_with_backend(&g, &p, backend).unwrap();
+            let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+            let exact = exact_route(&reduced).unwrap();
+            let approx = approx15_route(&reduced, backend);
             assert!(approx.labeling.validate(&g, &p).is_ok());
             ratios.push(approx.span as f64 / exact.span.max(1) as f64);
         }

@@ -147,13 +147,7 @@ fn parse_gen_opts(args: &[String]) -> Result<(Option<String>, GenOpts), String> 
             }
             "--count" => opts.count = parse_usize("--count", value("--count")?)?,
             "--out" => opts.out = Some(value("--out")?),
-            "--format" => {
-                opts.format = match value("--format")?.as_str() {
-                    "edgelist" | "edge-list" => graph_io::Format::EdgeList,
-                    "dimacs" | "col" => graph_io::Format::Dimacs,
-                    other => return Err(format!("unknown format '{other}'")),
-                }
-            }
+            "--format" => opts.format = value("--format")?.parse()?,
             flag if flag.starts_with("--") => return Err(format!("unknown gen flag '{flag}'")),
             name => {
                 if family.replace(name.to_string()).is_some() {

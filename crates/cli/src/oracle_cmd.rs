@@ -50,13 +50,7 @@ fn parse_flags(args: &[String]) -> Result<OracleFlags, String> {
         };
         match arg.as_str() {
             "--out" => out = Some(flag_value("--out")?),
-            "--format" => {
-                format = Some(match flag_value("--format")?.as_str() {
-                    "edgelist" | "edge-list" => io::Format::EdgeList,
-                    "dimacs" | "col" => io::Format::Dimacs,
-                    other => return Err(format!("unknown format '{other}'")),
-                })
-            }
+            "--format" => format = Some(flag_value("--format")?.parse()?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             _ => positional.push(arg.clone()),
         }

@@ -138,25 +138,14 @@ pub fn span_lower_bound(g: &Graph, p: &PVec) -> u64 {
 
 /// [`span_lower_bound`] computed against an already-built reduction, so
 /// callers that hold a [`crate::reduction::ReducedInstance`] (the engine's
-/// portfolio dispatcher) do not pay for a second APSP. Combines the chain,
-/// degree, MST and 1-tree bounds; the reduced weight matrix is exactly the
-/// one [`mst_bound`] / [`held_karp_bound`] would rebuild.
-pub fn span_lower_bound_with_reduction(
-    g: &Graph,
-    p: &PVec,
-    reduced: &crate::reduction::ReducedInstance,
-    hk_iters: usize,
-) -> u64 {
-    span_bound_with_reduction(g, p, reduced, hk_iters, &Deadline::none()).value
-}
-
-/// The kinded, deadline-aware form of [`span_lower_bound_with_reduction`]:
-/// climbs the [`BoundKind`] ladder (chain/degree → MST → Held–Karp ascent)
-/// and reports which rung certified the result plus how many ascent
-/// iterations ran. The ascent polls `deadline` per iteration but always
-/// runs its first iteration once entered, so an armed caller is guaranteed
-/// at least an MST-strength Held–Karp certificate. With [`Deadline::none`]
-/// the computation performs zero clock reads.
+/// portfolio dispatcher) do not pay for a second APSP; the reduced weight
+/// matrix is exactly the one [`mst_bound`] / [`held_karp_bound`] would
+/// rebuild. Climbs the [`BoundKind`] ladder (chain/degree → MST →
+/// Held–Karp ascent) and reports which rung certified the result plus how
+/// many ascent iterations ran. The ascent polls `deadline` per iteration
+/// but always runs its first iteration once entered, so an armed caller is
+/// guaranteed at least an MST-strength Held–Karp certificate. With
+/// [`Deadline::none`] the computation performs zero clock reads.
 pub fn span_bound_with_reduction(
     g: &Graph,
     p: &PVec,
@@ -266,7 +255,8 @@ pub fn mst_bound(g: &Graph, p: &PVec) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::baseline::exact::exact_labeling_bruteforce;
-    use crate::solver::solve_exact;
+    use crate::reduction::reduce_to_path_tsp;
+    use crate::routes::exact_route;
     use dclab_graph::generators::{classic, random};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -289,7 +279,7 @@ mod tests {
         let g = classic::complete(7);
         let p = PVec::ones(1);
         assert_eq!(chain_bound(&g, &p), Some(6));
-        let sol = solve_exact(&g, &p).unwrap();
+        let sol = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
         assert_eq!(sol.span, 6);
     }
 
@@ -299,7 +289,7 @@ mod tests {
         let g = classic::star(7);
         let p = PVec::l21();
         assert_eq!(degree_bound(&g, &p), 7);
-        let sol = solve_exact(&g, &p).unwrap();
+        let sol = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
         assert_eq!(sol.span, 7);
     }
 
@@ -319,7 +309,12 @@ mod tests {
         assert_eq!(mst_bound(&g, &p), Some(10));
         assert_eq!(chain_bound(&g, &p), Some(5));
         assert_eq!(span_lower_bound(&g, &p), 10);
-        assert_eq!(solve_exact(&g, &p).unwrap().span, 10);
+        assert_eq!(
+            exact_route(&reduce_to_path_tsp(&g, &p).unwrap())
+                .unwrap()
+                .span,
+            10
+        );
     }
 
     #[test]
@@ -349,17 +344,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(75);
         let g = random::gnp_with_diameter_at_most(&mut rng, 9, 0.5, 2);
         let p = PVec::l21();
-        let reduced = crate::reduction::reduce_to_path_tsp(&g, &p).unwrap();
+        let reduced = reduce_to_path_tsp(&g, &p).unwrap();
         let b = span_bound_with_reduction(&g, &p, &reduced, 50, &Deadline::none());
         // The ascent dominates the MST rung by construction, and ties on
         // the top value go to the stronger kind, so whenever the ascent
         // runs the kind is at least HkAscent (Degree can only win the
         // value, not erase that the ascent certified what it certified —
         // here the ascent matches the combined bound on these instances).
-        assert_eq!(
-            b.value,
-            span_lower_bound_with_reduction(&g, &p, &reduced, 50)
-        );
+        assert_eq!(b.value, span_lower_bound(&g, &p));
         assert!(b.ascent_iters >= 1);
         assert!(b.kind >= BoundKind::OneTree);
         // Skipping the ascent (hk_iters = 0) degrades kind and iters.
@@ -400,8 +392,8 @@ mod tests {
         for _ in 0..8 {
             let g = random::gnp_with_diameter_at_most(&mut rng, 9, 0.5, 2);
             let p = PVec::l21();
-            let reduced = crate::reduction::reduce_to_path_tsp(&g, &p).unwrap();
-            let with = span_lower_bound_with_reduction(&g, &p, &reduced, 50);
+            let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+            let with = span_bound_with_reduction(&g, &p, &reduced, 50, &Deadline::none()).value;
             let fresh = span_lower_bound(&g, &p);
             assert_eq!(with, fresh);
             let (_, opt) = exact_labeling_bruteforce(&g, &p);

@@ -140,7 +140,8 @@ fn solve_diam2_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::solve_exact;
+    use crate::reduction::reduce_to_path_tsp;
+    use crate::routes::exact_route;
     use dclab_graph::generators::{classic, random};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -167,7 +168,7 @@ mod tests {
                 if !pv.is_smooth() {
                     continue;
                 }
-                let tsp = solve_exact(&g, &pv).unwrap();
+                let tsp = exact_route(&reduce_to_path_tsp(&g, &pv).unwrap()).unwrap();
                 let pip = solve_diam2_lpq(&g, p, q, PipSolver::SubsetDp).unwrap();
                 assert_eq!(pip.span, tsp.span, "trial={trial} p={p} q={q}");
             }

@@ -1,5 +1,5 @@
-//! The single size/budget guard path shared by the legacy solver wrappers
-//! and the `dclab-engine` dispatcher.
+//! The single size/budget guard path shared by the route layer
+//! ([`crate::routes`]) and the `dclab-engine` dispatcher.
 //!
 //! Every route with super-polynomial worst case funnels through here, so
 //! there is exactly one place where "too big for exact" is decided and one
@@ -17,8 +17,7 @@ pub const DEFAULT_NODE_BUDGET: u64 = 20_000_000;
 /// Why a guarded route refused to run (the one error type for all guards).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GuardError {
-    /// Held–Karp requested beyond [`EXACT_MAX_N`] (or a caller-tightened
-    /// maximum).
+    /// Held–Karp requested beyond [`EXACT_MAX_N`].
     TooLargeForExact {
         /// Requested instance size.
         n: usize,
@@ -50,15 +49,11 @@ impl std::error::Error for GuardError {}
 
 /// Check `n` against the Held–Karp guard.
 pub fn check_exact_size(n: usize) -> Result<(), GuardError> {
-    check_exact_size_with(n, EXACT_MAX_N)
-}
-
-/// [`check_exact_size`] with a caller-tightened maximum (never looser than
-/// [`EXACT_MAX_N`]).
-pub fn check_exact_size_with(n: usize, max: usize) -> Result<(), GuardError> {
-    let max = max.min(EXACT_MAX_N);
-    if n > max {
-        Err(GuardError::TooLargeForExact { n, max })
+    if n > EXACT_MAX_N {
+        Err(GuardError::TooLargeForExact {
+            n,
+            max: EXACT_MAX_N,
+        })
     } else {
         Ok(())
     }
@@ -75,20 +70,6 @@ mod tests {
             check_exact_size(EXACT_MAX_N + 1),
             Err(GuardError::TooLargeForExact {
                 n: EXACT_MAX_N + 1,
-                max: EXACT_MAX_N
-            })
-        );
-    }
-
-    #[test]
-    fn tightened_guard_never_loosens() {
-        assert!(check_exact_size_with(10, 10).is_ok());
-        assert!(check_exact_size_with(11, 10).is_err());
-        // Asking for a looser max than EXACT_MAX_N still clamps.
-        assert_eq!(
-            check_exact_size_with(EXACT_MAX_N + 5, usize::MAX),
-            Err(GuardError::TooLargeForExact {
-                n: EXACT_MAX_N + 5,
                 max: EXACT_MAX_N
             })
         );

@@ -191,7 +191,8 @@ mod tests {
         // Griggs–Yeh: G (n vertices) has a Hamiltonian path iff
         // λ_{2,1}(Ḡ + universal) ≤ n + 1. Verified via the exact solver.
         use crate::pvec::PVec;
-        use crate::solver::solve_exact;
+        use crate::reduction::reduce_to_path_tsp;
+        use crate::routes::exact_route;
         let mut rng = StdRng::seed_from_u64(63);
         let mut yes = 0;
         let mut no = 0;
@@ -200,7 +201,7 @@ mod tests {
             let n = g.n() as u64;
             let h = griggs_yeh_reduction(&g);
             let hp = has_hamiltonian_path(&g, None);
-            let sol = solve_exact(&h, &PVec::l21()).unwrap();
+            let sol = exact_route(&reduce_to_path_tsp(&h, &PVec::l21()).unwrap()).unwrap();
             assert_eq!(
                 hp,
                 sol.span <= n + 1,

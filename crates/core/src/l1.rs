@@ -13,7 +13,7 @@ use crate::coloring::{
 };
 use crate::labeling::Labeling;
 use crate::pvec::PVec;
-use crate::solver::Solution;
+use crate::routes::Solution;
 use dclab_graph::ops::power;
 use dclab_graph::Graph;
 
@@ -119,14 +119,7 @@ pub fn solve_pmax_approx(g: &Graph, p: &PVec, engine: L1Engine) -> Solution {
     let (l1, _) = solve_l1(g, p.k(), engine);
     let pmax = p.pmax();
     let labels: Vec<u64> = l1.labels().iter().map(|&c| c * pmax).collect();
-    let labeling = Labeling::new(labels);
-    let span = labeling.span();
-    let order = labeling.sorted_order();
-    Solution {
-        labeling,
-        span,
-        order,
-    }
+    Solution::from_labeling(Labeling::new(labels))
 }
 
 #[cfg(test)]

@@ -7,9 +7,9 @@
 //! * [`pvec`] / [`labeling`] — the `L(p)` problem objects;
 //! * [`reduction`] — **Theorem 2**: the `O(nm)` reduction to Metric Path
 //!   TSP and the Claim 1 labeling recovery;
-//! * [`solver`] — **Corollary 1**: exact `O(2^n n²)` (Held–Karp),
+//! * [`routes`] — **Corollary 1**: exact `O(2^n n²)` (Held–Karp),
 //!   1.5-approximate (Hoogeveen/Christofides) and heuristic (chained LK)
-//!   solvers, plus the greedy baseline;
+//!   routes over one precomputed reduction, plus the greedy baseline;
 //! * [`baseline`] — reduction-independent oracles (exhaustive sorted-order
 //!   search, label DFS) and greedy first-fit;
 //! * [`partition_paths`] / [`diam2`] — **Corollary 2**: diameter-2
@@ -42,8 +42,7 @@ pub mod partition_paths;
 pub mod pvec;
 pub mod reduction;
 pub mod routes;
-pub mod solver;
 
 pub use labeling::Labeling;
 pub use pvec::PVec;
-pub use solver::{solve_approx15, solve_exact, solve_greedy, solve_heuristic, Solution};
+pub use routes::Solution;

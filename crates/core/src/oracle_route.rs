@@ -32,7 +32,7 @@
 use crate::distance::DistanceSource;
 use crate::labeling::Labeling;
 use crate::pvec::PVec;
-use crate::solver::Solution;
+use crate::routes::Solution;
 use dclab_graph::{Graph, INF};
 use dclab_tsp::localsearch::CandidateLists;
 
@@ -212,11 +212,7 @@ pub fn oracle_path_route(g: &Graph, p: &PVec, src: &DistanceSource) -> Solution 
     }
     let n = g.n();
     if n == 0 {
-        return Solution {
-            labeling: Labeling::new(Vec::new()),
-            span: 0,
-            order: Vec::new(),
-        };
+        return Solution::from_labeling(Labeling::new(Vec::new()));
     }
     let mut order = complement_greedy_order(g);
     if n <= ORACLE_POLISH_MAX_N {
@@ -228,8 +224,10 @@ pub fn oracle_path_route(g: &Graph, p: &PVec, src: &DistanceSource) -> Solution 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve_exact, solve_greedy};
+    use crate::reduction::reduce_to_path_tsp;
+    use crate::routes::{exact_route, greedy_route};
     use dclab_graph::generators::{classic, random};
+    use dclab_par::Deadline;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -295,7 +293,7 @@ mod tests {
             let g = random::gnp_with_diameter_at_most(&mut rng, 12, 0.5, 2);
             let (dense, _) = sources(&g);
             let sol = oracle_path_route(&g, &p, &dense);
-            let exact = solve_exact(&g, &p).unwrap();
+            let exact = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
             assert!(sol.span >= exact.span);
             // Claim 1's 2-approximation argument applies to any valid
             // sorted-order labeling under smooth p.
@@ -345,7 +343,7 @@ mod tests {
             let g = random::gnp_with_diameter_at_most(&mut rng, 40, 0.5, 2);
             let (dense, _) = sources(&g);
             route_total += oracle_path_route(&g, &p, &dense).span;
-            greedy_total += solve_greedy(&g, &p).span;
+            greedy_total += greedy_route(&g, &p, &Deadline::none()).span;
         }
         assert!(
             route_total <= greedy_total + greedy_total / 2,

@@ -95,6 +95,19 @@ impl fmt::Display for PVec {
     }
 }
 
+/// Parses the comma-separated form the CLI and the server accept, e.g.
+/// `2,1` (entries may carry surrounding whitespace).
+impl std::str::FromStr for PVec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let entries: Result<Vec<u64>, _> = s.split(',').map(|t| t.trim().parse::<u64>()).collect();
+        let entries = entries.map_err(|e| format!("bad p-vector '{s}': {e}"))?;
+        PVec::new(entries)
+            .ok_or_else(|| format!("bad p-vector '{s}': must be non-empty and not all-zero"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +138,20 @@ mod tests {
         assert!(!PVec::new(vec![5, 2]).unwrap().is_smooth());
         assert!(PVec::ones(3).is_smooth());
         assert!(PVec::new(vec![3, 2, 2]).unwrap().is_smooth());
+    }
+
+    #[test]
+    fn parses_comma_separated_entries() {
+        assert_eq!("2,1".parse(), Ok(PVec::l21()));
+        assert_eq!(" 4 , 3,2 ".parse(), Ok(PVec::new(vec![4, 3, 2]).unwrap()));
+        assert_eq!(
+            "2,x".parse::<PVec>(),
+            Err("bad p-vector '2,x': invalid digit found in string".to_string())
+        );
+        assert_eq!(
+            "0,0".parse::<PVec>(),
+            Err("bad p-vector '0,0': must be non-empty and not all-zero".to_string())
+        );
     }
 
     #[test]

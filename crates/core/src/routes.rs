@@ -1,20 +1,49 @@
 //! Route layer: every TSP-backed solve path, expressed over a *precomputed*
-//! [`ReducedInstance`].
+//! [`ReducedInstance`], plus the reduction-free greedy baseline.
 //!
-//! The legacy [`crate::solver`] wrappers and the `dclab-engine` portfolio
-//! dispatcher both call these functions, so the Theorem 2 reduction is
-//! computed once per request and shared across candidate routes instead of
-//! being re-derived (APSP and all) on every call.
+//! The `dclab-engine` dispatcher calls these functions, so the Theorem 2
+//! reduction is computed once per request and shared across candidate
+//! routes instead of being re-derived (APSP and all) on every call. Code
+//! that measures or checks a single route reduces once with
+//! [`crate::reduction::reduce_to_path_tsp`] and calls the route directly.
 
+use crate::baseline::greedy::best_greedy_span_anytime;
 use crate::guard::{check_exact_size, GuardError};
+use crate::labeling::Labeling;
+use crate::pvec::PVec;
 use crate::reduction::{labeling_from_order, ReducedInstance};
-use crate::solver::Solution;
+use dclab_graph::Graph;
 use dclab_par::Deadline;
 use dclab_tsp::christofides::christofides_path;
 use dclab_tsp::driver::{solve_path_heuristic, HeuristicConfig};
 use dclab_tsp::exact::{branch_bound_path_anytime, held_karp_path, BbStatus};
 use dclab_tsp::matching::MatchingBackend;
 use std::sync::atomic::AtomicU64;
+
+/// A solved `L(p)`-labeling instance.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Solution {
+    /// The labeling itself (always valid for the instance it was built on).
+    pub labeling: Labeling,
+    /// Its span (`labeling.span()`, cached).
+    pub span: u64,
+    /// The sorted vertex order the labeling realises (the TSP path).
+    pub order: Vec<u32>,
+}
+
+impl Solution {
+    /// Wrap a labeling built without a vertex order: the span and the
+    /// sorted order (Claim 1's `π`) are read off the labels.
+    pub fn from_labeling(labeling: Labeling) -> Solution {
+        let span = labeling.span();
+        let order = labeling.sorted_order();
+        Solution {
+            labeling,
+            span,
+            order,
+        }
+    }
+}
 
 fn solution_from_order(reduced: &ReducedInstance, order: Vec<u32>, span: u64) -> Solution {
     let labeling = labeling_from_order(reduced, &order);
@@ -35,27 +64,13 @@ pub fn exact_route(reduced: &ReducedInstance) -> Result<Solution, GuardError> {
     Ok(solution_from_order(reduced, order, span))
 }
 
-/// Exact optimum via MST-bounded branch and bound; `Err(BudgetExhausted)`
-/// when `node_budget` runs out before optimality is proved.
-pub fn branch_bound_route(
-    reduced: &ReducedInstance,
-    node_budget: u64,
-) -> Result<Solution, GuardError> {
-    let (sol, status) =
-        branch_bound_route_anytime(reduced, node_budget, &Deadline::none(), None, None);
-    match status {
-        BbStatus::Proved => Ok(sol),
-        BbStatus::BudgetExhausted | BbStatus::Cancelled => {
-            Err(GuardError::BudgetExhausted { node_budget })
-        }
-    }
-}
-
-/// Anytime branch and bound: always returns the best incumbent as a full,
-/// valid labeling, plus how the search ended. `shared_bound` is the racing
-/// portfolio's cross-member incumbent span; `root_bound` is a proven span
-/// lower bound that lets the search stop with a proof as soon as the
-/// incumbent pool meets it (see
+/// Anytime MST-bounded branch and bound: always returns the best incumbent
+/// as a full, valid labeling, plus how the search ended (`Proved` means
+/// optimal). It has no `2^n` memory, so it reaches past
+/// [`crate::guard::EXACT_MAX_N`] when the instance is benign.
+/// `shared_bound` is the racing portfolio's cross-member incumbent span;
+/// `root_bound` is a proven span lower bound that lets the search stop
+/// with a proof as soon as the incumbent pool meets it (see
 /// `dclab_tsp::exact::branch_bound_path_anytime` for the proof semantics
 /// of both).
 pub fn branch_bound_route_anytime(
@@ -88,12 +103,23 @@ pub fn heuristic_route(reduced: &ReducedInstance, cfg: &HeuristicConfig) -> Solu
     solution_from_order(reduced, order, span)
 }
 
+/// Greedy first-fit baseline: no reduction, so any graph and any `p`. The
+/// deadline is checked between candidate vertex orders, so the result is
+/// always a complete valid labeling, just possibly from fewer orders.
+pub fn greedy_route(g: &Graph, p: &PVec, deadline: &Deadline) -> Solution {
+    let _span = dclab_trace::current().span("greedy");
+    let (labeling, _) = best_greedy_span_anytime(g, p, deadline);
+    Solution::from_labeling(labeling)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pvec::PVec;
+    use crate::baseline::exact::exact_labeling_bruteforce;
     use crate::reduction::reduce_to_path_tsp;
-    use dclab_graph::generators::classic;
+    use dclab_graph::generators::{classic, random};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn all_routes_share_one_reduction() {
@@ -101,15 +127,46 @@ mod tests {
         let p = PVec::l21();
         let reduced = reduce_to_path_tsp(&g, &p).unwrap();
         let exact = exact_route(&reduced).unwrap();
-        let bb = branch_bound_route(&reduced, u64::MAX).unwrap();
+        let (bb, status) =
+            branch_bound_route_anytime(&reduced, u64::MAX, &Deadline::none(), None, None);
         let approx = approx15_route(&reduced, MatchingBackend::Auto);
         let heur = heuristic_route(&reduced, &HeuristicConfig::default());
         assert_eq!(exact.span, 9);
-        assert_eq!(bb.span, 9);
+        assert_eq!((bb.span, status), (9, BbStatus::Proved));
         for sol in [&exact, &bb, &approx, &heur] {
             assert!(sol.labeling.validate(&g, &p).is_ok());
             assert!(sol.span >= 9);
         }
+    }
+
+    #[test]
+    fn exact_matches_independent_oracle() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let ps = [
+            PVec::l21(),
+            PVec::ones(2),
+            PVec::new(vec![3, 2]).unwrap(),
+            PVec::new(vec![2, 2]).unwrap(),
+        ];
+        // Wheels are a polynomial class in the paper's survey; W6 rides
+        // along with the random corpus.
+        let mut corpus = vec![classic::wheel(6)];
+        corpus.extend((0..30).map(|_| random::gnp(&mut rng, 7, 0.5)));
+        let mut checked = 0;
+        for g in &corpus {
+            for p in &ps {
+                // Disconnected or diameter > 2: outside Theorem 2.
+                let Ok(reduced) = reduce_to_path_tsp(g, p) else {
+                    continue;
+                };
+                let sol = exact_route(&reduced).unwrap();
+                let (_, want) = exact_labeling_bruteforce(g, p);
+                assert_eq!(sol.span, want);
+                assert!(sol.labeling.validate(g, p).is_ok());
+                checked += 1;
+            }
+        }
+        assert!(checked > 10, "too few eligible samples: {checked}");
     }
 
     #[test]
@@ -123,13 +180,95 @@ mod tests {
     }
 
     #[test]
+    fn approx_within_ratio_and_valid() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..10 {
+            let g = random::gnp_with_diameter_at_most(&mut rng, 12, 0.5, 2);
+            let p = PVec::l21();
+            let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+            let exact = exact_route(&reduced).unwrap();
+            let approx = approx15_route(&reduced, MatchingBackend::Auto);
+            assert!(approx.labeling.validate(&g, &p).is_ok());
+            assert!(approx.span >= exact.span);
+            assert!(
+                2 * approx.span <= 3 * exact.span,
+                "ratio breach: {} vs {}",
+                approx.span,
+                exact.span
+            );
+        }
+    }
+
+    #[test]
+    fn heuristic_valid_and_close() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let g = random::gnp_with_diameter_at_most(&mut rng, 14, 0.5, 2);
+        let p = PVec::l21();
+        let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        let exact = exact_route(&reduced).unwrap();
+        let heur = heuristic_route(&reduced, &HeuristicConfig::default());
+        assert!(heur.labeling.validate(&g, &p).is_ok());
+        assert!(heur.span >= exact.span);
+        assert!(heur.span <= exact.span + exact.span / 4 + 2);
+    }
+
+    #[test]
+    fn greedy_upper_bounds_exact() {
+        let g = classic::petersen();
+        let p = PVec::l21();
+        let greedy = greedy_route(&g, &p, &Deadline::none());
+        assert!(greedy.labeling.validate(&g, &p).is_ok());
+        assert_eq!(greedy.span, greedy.labeling.span());
+        assert_eq!(greedy.order, greedy.labeling.sorted_order());
+        let exact = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
+        assert!(greedy.span >= exact.span);
+    }
+
+    #[test]
+    fn branch_bound_route_matches_held_karp() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..6 {
+            let g = random::gnp_with_diameter_at_most(&mut rng, 12, 0.5, 2);
+            let p = PVec::l21();
+            let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+            let hk = exact_route(&reduced).unwrap();
+            let (bb, status) =
+                branch_bound_route_anytime(&reduced, u64::MAX, &Deadline::none(), None, None);
+            assert_eq!(status, BbStatus::Proved, "unbounded budget");
+            assert_eq!(bb.span, hk.span);
+            assert!(bb.labeling.validate(&g, &p).is_ok());
+        }
+    }
+
+    #[test]
+    fn branch_bound_reaches_past_held_karp_guard() {
+        // n = 30 > EXACT_MAX_N. On complete multipartite instances the MST
+        // completion bound is tight and the NN incumbent is optimal, so the
+        // search collapses immediately despite the size.
+        let g = classic::complete_multipartite(&[10, 8, 7, 5]);
+        let p = PVec::l21();
+        let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        assert!(exact_route(&reduced).is_err());
+        let (bb, status) =
+            branch_bound_route_anytime(&reduced, 10_000_000, &Deadline::none(), None, None);
+        assert_eq!(status, BbStatus::Proved, "benign instance within budget");
+        assert!(bb.labeling.validate(&g, &p).is_ok());
+        // Corollary 2 closed form: (n−1)·q + (p−q)·(t−1) = 29 + 3.
+        assert_eq!(bb.span, 32);
+    }
+
+    #[test]
     fn branch_bound_route_reports_budget() {
         let g = classic::petersen();
-        let reduced = reduce_to_path_tsp(&g, &PVec::l21()).unwrap();
-        assert_eq!(
-            branch_bound_route(&reduced, 3),
-            Err(GuardError::BudgetExhausted { node_budget: 3 })
-        );
+        let p = PVec::l21();
+        let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        // A node budget too small to prove optimality: the search reports
+        // the exhausted budget and still hands back a complete, valid
+        // labeling.
+        let (sol, status) = branch_bound_route_anytime(&reduced, 3, &Deadline::none(), None, None);
+        assert_eq!(status, BbStatus::BudgetExhausted);
+        assert!(sol.labeling.validate(&g, &p).is_ok());
+        assert!(sol.span >= 9);
     }
 
     #[test]
@@ -137,13 +276,9 @@ mod tests {
         let g = classic::petersen();
         let p = PVec::l21();
         let reduced = reduce_to_path_tsp(&g, &p).unwrap();
-        // Same tiny budget that makes the legacy route fail: the anytime
-        // route instead hands back a complete, valid labeling.
-        let (sol, status) = branch_bound_route_anytime(&reduced, 3, &Deadline::none(), None, None);
-        assert_eq!(status, BbStatus::BudgetExhausted);
-        assert!(sol.labeling.validate(&g, &p).is_ok());
-        assert!(sol.span >= 9);
-        // And an expired deadline likewise.
+        // An expired deadline stops the search at once, and the route still
+        // hands back a complete, valid labeling (an exhausted node budget
+        // does the same: see `branch_bound_route_reports_budget`).
         let token = dclab_par::CancelToken::new();
         token.cancel();
         let dl = Deadline::none().with_token(token);

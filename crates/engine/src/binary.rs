@@ -50,7 +50,7 @@
 
 use dclab_core::bounds::BoundKind;
 use dclab_core::labeling::Labeling;
-use dclab_core::solver::Solution;
+use dclab_core::routes::Solution;
 
 use crate::features::InstanceFeatures;
 use crate::report::{BoundStats, EngineStats, SolveReport};

@@ -30,8 +30,7 @@ use dclab_core::pvec::PVec;
 use dclab_core::reduction::{
     reduce_to_path_tsp, reduce_unchecked, tight_labeling_for_order, ReducedInstance, ReductionError,
 };
-use dclab_core::routes;
-use dclab_core::solver::{solve_greedy, solve_greedy_anytime, Solution};
+use dclab_core::routes::{self, Solution};
 use dclab_graph::Graph;
 use dclab_oracle::dense_pipeline_bytes;
 use dclab_par::{CancelToken, Deadline};
@@ -272,12 +271,7 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
 
     if g.n() <= 1 {
         // Trivial instances short-circuit before any route machinery.
-        let labeling = Labeling::new(vec![0; g.n()]);
-        let solution = Solution {
-            span: 0,
-            order: (0..g.n() as u32).collect(),
-            labeling,
-        };
+        let solution = Solution::from_labeling(Labeling::new(vec![0; g.n()]));
         ctx.note("trivial instance (n ≤ 1)");
         ctx.routes_tried.push(Strategy::Greedy);
         return finish(
@@ -322,7 +316,7 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
         }
         Strategy::Heuristic => heuristic_strategy(&mut ctx, req, &deadline)?,
         Strategy::Greedy => {
-            let sol = solve_greedy_anytime(g, p, &deadline);
+            let sol = routes::greedy_route(g, p, &deadline);
             ctx.routes_tried.push(Strategy::Greedy);
             ctx.overrun(
                 &deadline,
@@ -640,7 +634,7 @@ fn run_race_member(
         RaceMember::Greedy => MemberRun {
             // Order-granular anytime greedy: the first vertex order always
             // completes, so even an expired deadline harvests a labeling.
-            solution: solve_greedy_anytime(g, p, deadline),
+            solution: routes::greedy_route(g, p, deadline),
             strategy,
             proved: false,
         },
@@ -930,7 +924,7 @@ fn diam2_route(
 fn fallback_portfolio(ctx: &mut Ctx<'_>, deadline: &Deadline) -> Routed {
     let g = ctx.g;
     let p = ctx.p;
-    let greedy = solve_greedy(g, p);
+    let greedy = routes::greedy_route(g, p, &Deadline::none());
     ctx.routes_tried.push(Strategy::Greedy);
     let pmax = solve_pmax_approx(g, p, l1_engine(g));
     ctx.routes_tried.push(Strategy::L1Coloring);
@@ -1288,7 +1282,12 @@ mod tests {
     /// pre-trace builds).
     #[test]
     fn tracing_changes_nothing_but_phases() {
-        for strategy in [Strategy::Auto, Strategy::Race, Strategy::Heuristic] {
+        for strategy in [
+            Strategy::Auto,
+            Strategy::Race,
+            Strategy::Heuristic,
+            Strategy::Greedy,
+        ] {
             let req =
                 SolveRequest::new(diam2_instance(40, 17), PVec::l21()).with_strategy(strategy);
             let untraced = solve(&req).expect("solves");
@@ -1317,8 +1316,14 @@ mod tests {
                 .map(|p| p.name.as_str())
                 .collect();
             assert!(names.contains(&"solve"), "{strategy}: {names:?}");
-            assert!(names.contains(&"reduce"), "{strategy}: {names:?}");
             assert!(names.contains(&"apsp"), "{strategy}: {names:?}");
+            if strategy == Strategy::Greedy {
+                // Greedy validates through APSP but never reduces.
+                assert!(names.contains(&"greedy"), "{names:?}");
+                assert!(!names.contains(&"reduce"), "{names:?}");
+            } else {
+                assert!(names.contains(&"reduce"), "{strategy}: {names:?}");
+            }
             if strategy == Strategy::Race {
                 assert!(names.contains(&"race"), "{names:?}");
                 assert!(names.contains(&"member"), "{names:?}");

@@ -2,7 +2,7 @@
 //! bound, and dispatch stats — plus its JSON form.
 
 use dclab_core::bounds::BoundKind;
-use dclab_core::solver::Solution;
+use dclab_core::routes::Solution;
 
 use crate::features::InstanceFeatures;
 use crate::json::Obj;

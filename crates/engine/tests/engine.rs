@@ -6,7 +6,8 @@ use dclab_core::bounds::span_lower_bound;
 use dclab_core::guard::EXACT_MAX_N;
 use dclab_core::hardness::griggs_yeh_reduction;
 use dclab_core::pvec::PVec;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_engine::{solve, solve_batch, Budget, EngineError, SolveRequest, Strategy};
 use dclab_graph::generators::{classic, random};
 use dclab_graph::Graph;
@@ -144,7 +145,7 @@ fn auto_matches_exact_on_small_diam2_instances() {
         let n = 5 + trial % (EXACT_MAX_N - 10);
         let g = random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
         for p in [PVec::l21(), PVec::lpq(3, 2).unwrap(), PVec::ones(2)] {
-            let exact = solve_exact(&g, &p).unwrap();
+            let exact = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
             let report = solve(&SolveRequest::new(g.clone(), p.clone())).unwrap();
             assert_eq!(
                 report.solution.span, exact.span,
@@ -273,7 +274,7 @@ fn diam2_pip_route_produces_optimal_labeling_with_witness() {
     for _ in 0..6 {
         let g = random::gnp_with_diameter_at_most(&mut rng, 14, 0.5, 2);
         let p = PVec::lpq(2, 1).unwrap();
-        let exact = solve_exact(&g, &p).unwrap();
+        let exact = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
         let report =
             solve(&SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::Diam2Pip))
                 .unwrap();

@@ -5,7 +5,8 @@
 
 use dclab_core::bounds::span_lower_bound;
 use dclab_core::pvec::PVec;
-use dclab_core::solver::solve_exact;
+use dclab_core::reduction::reduce_to_path_tsp;
+use dclab_core::routes::exact_route;
 use dclab_engine::{solve, SolveRequest, Strategy};
 use dclab_graph::generators::random;
 use dclab_graph::Graph;
@@ -33,7 +34,7 @@ proptest! {
     fn auto_is_exact_on_small_diam2(seed in any::<u64>(), n in 5usize..14, raw in any::<(u64, u64)>()) {
         let g = diam2_graph(seed, n);
         let p = smooth_pvec(raw);
-        let exact = solve_exact(&g, &p).unwrap();
+        let exact = exact_route(&reduce_to_path_tsp(&g, &p).unwrap()).unwrap();
         let report = solve(&SolveRequest::new(g.clone(), p.clone())).unwrap();
         prop_assert_eq!(report.solution.span, exact.span);
         prop_assert!(report.optimal);

@@ -33,6 +33,19 @@ impl Format {
     }
 }
 
+/// Parses a format name: `edgelist` / `edge-list` or `dimacs` / `col`.
+impl std::str::FromStr for Format {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "edgelist" | "edge-list" => Ok(Format::EdgeList),
+            "dimacs" | "col" => Ok(Format::Dimacs),
+            other => Err(format!("unknown format '{other}'")),
+        }
+    }
+}
+
 /// Parse failure, with the 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -376,6 +389,22 @@ mod tests {
         assert_eq!(Format::from_path("FOO.DIMACS"), Format::Dimacs);
         assert_eq!(Format::from_path("foo.edges"), Format::EdgeList);
         assert_eq!(Format::from_path("foo.txt"), Format::EdgeList);
+    }
+
+    #[test]
+    fn format_names_parse() {
+        for (name, want) in [
+            ("edgelist", Format::EdgeList),
+            ("edge-list", Format::EdgeList),
+            ("dimacs", Format::Dimacs),
+            ("col", Format::Dimacs),
+        ] {
+            assert_eq!(name.parse(), Ok(want));
+        }
+        assert_eq!(
+            "csv".parse::<Format>(),
+            Err("unknown format 'csv'".to_string())
+        );
     }
 
     #[test]

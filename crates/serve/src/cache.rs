@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use dclab_core::pvec::PVec;
-use dclab_core::solver::Solution;
-use dclab_engine::{Budget, OraclePolicy, SolveReport, Strategy};
+use dclab_core::routes::Solution;
+use dclab_engine::{Budget, EngineError, OraclePolicy, SolveReport, Strategy};
 use dclab_graph::canon::{CanonicalForm, Fnv64};
 use dclab_graph::Graph;
 
@@ -181,7 +181,7 @@ struct Shard {
 /// One in-flight solve shared by concurrent identical requests.
 struct Flight {
     key: CacheKey,
-    result: Mutex<Option<Result<CanonReport, String>>>,
+    result: Mutex<Option<Result<CanonReport, EngineError>>>,
     done: Condvar,
 }
 
@@ -311,9 +311,9 @@ impl ReportCache {
         &self,
         key: &CacheKey,
         solve_fn: F,
-    ) -> (Result<SolveReport, String>, CacheStatus)
+    ) -> (Result<SolveReport, EngineError>, CacheStatus)
     where
-        F: FnOnce() -> Result<SolveReport, String>,
+        F: FnOnce() -> Result<SolveReport, EngineError>,
     {
         if let Some(report) = self.get(key) {
             return (Ok(report), CacheStatus::Hit);
@@ -370,7 +370,7 @@ impl ReportCache {
         // A panicking solver must not strand the flight: waiters would
         // block forever on the condvar and every future identical request
         // would join the dead flight. Catch the panic, publish an error to
-        // the waiters, and answer this request with a 500-grade failure.
+        // the waiters, and answer this request with an internal error.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(solve_fn))
             .unwrap_or_else(|panic| {
                 let msg = panic
@@ -378,7 +378,7 @@ impl ReportCache {
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_default();
-                Err(format!("solver panicked: {msg}"))
+                Err(EngineError::Internal(format!("solver panicked: {msg}")))
             });
         self.misses.fetch_add(1, Ordering::Relaxed);
         if let Ok(report) = &outcome {
@@ -538,8 +538,7 @@ mod tests {
             Budget::default(),
             OraclePolicy::Auto,
         );
-        let solve_fn =
-            || solve(&SolveRequest::new(g.clone(), p.clone())).map_err(|e| e.to_string());
+        let solve_fn = || solve(&SolveRequest::new(g.clone(), p.clone()));
         let (r1, s1) = cache.get_or_solve(&key, solve_fn);
         assert_eq!(s1, CacheStatus::Miss);
         let (r2, s2) = cache.get_or_solve(&key, || panic!("must not re-solve"));
@@ -575,7 +574,7 @@ mod tests {
                     solves.fetch_add(1, Ordering::SeqCst);
                     // Slow the leader so the others pile onto the flight.
                     std::thread::sleep(std::time::Duration::from_millis(30));
-                    solve(&SolveRequest::new(g, p)).map_err(|e| e.to_string())
+                    solve(&SolveRequest::new(g, p))
                 });
                 (result.unwrap().solution.span, status)
             }));
@@ -589,5 +588,63 @@ mod tests {
             1,
             "exactly one solve ran: {results:?}"
         );
+    }
+
+    #[test]
+    fn panicking_solve_fails_every_waiter_and_strands_no_flight() {
+        const WAITERS: usize = 3;
+        let cache = Arc::new(ReportCache::new(1 << 20));
+        let g = classic::cycle(5);
+        let p = PVec::l21();
+        let key = CacheKey::for_request(
+            &g,
+            &p,
+            Strategy::Auto,
+            Budget::default(),
+            OraclePolicy::Auto,
+        );
+        let (opened, flight_open) = std::sync::mpsc::channel();
+        let leader = {
+            let (cache, key) = (Arc::clone(&cache), key.clone());
+            std::thread::spawn(move || {
+                cache.get_or_solve(&key, || {
+                    opened.send(()).unwrap();
+                    // Hold the flight until every waiter has joined it (the
+                    // flight map and this leader hold one handle each).
+                    while Arc::strong_count(&cache.flights.lock().unwrap()[&key.hash]) < 2 + WAITERS
+                    {
+                        std::thread::yield_now();
+                    }
+                    panic!("boom")
+                })
+            })
+        };
+        flight_open.recv().unwrap();
+        let waiters: Vec<_> = (0..WAITERS)
+            .map(|_| {
+                let (cache, key) = (Arc::clone(&cache), key.clone());
+                std::thread::spawn(move || {
+                    cache.get_or_solve(&key, || unreachable!("a waiter never leads"))
+                })
+            })
+            .collect();
+        let want = EngineError::Internal("solver panicked: boom".into());
+        let (result, status) = leader.join().unwrap();
+        assert_eq!(
+            (result.unwrap_err(), status),
+            (want.clone(), CacheStatus::Miss)
+        );
+        for waiter in waiters {
+            let (result, status) = waiter.join().unwrap();
+            assert_eq!(
+                (result.unwrap_err(), status),
+                (want.clone(), CacheStatus::Coalesced)
+            );
+        }
+        // No stranded flight: the next identical request solves afresh.
+        assert!(cache.flights.lock().unwrap().is_empty());
+        let (result, status) = cache.get_or_solve(&key, || solve(&SolveRequest::new(g, p)));
+        assert_eq!(status, CacheStatus::Miss);
+        assert!(result.is_ok());
     }
 }

@@ -11,8 +11,9 @@
 //! on the same owner (one cache entry, one archive record, cluster-wide).
 //!
 //! The ring uses virtual nodes (`VNODES` points per replica, placed by
-//! FNV-64 over `addr#index`) so key ranges stay balanced for small replica
-//! counts and only `1/N` of keys move when a replica joins or leaves.
+//! FNV-64 over `addr#index`; points and keys both pass through a 64-bit
+//! finalizer) so key ranges stay balanced for small replica counts and
+//! only `1/N` of keys move when a replica joins or leaves.
 //! Warm-up/replication reuses the existing `dclab store export/import`
 //! streaming — there is no separate replication protocol.
 //!
@@ -48,6 +49,19 @@ pub const ROUTED_HEADER: &str = "x-dclab-routed";
 /// hundred entries — binary search cost is noise next to a solve.
 const VNODES: usize = 64;
 
+/// Where a hash lands on the ring: the MurmurHash3 64-bit finalizer.
+/// FNV-64 alone diffuses poorly when its inputs differ in a few bytes
+/// (the `#index` suffix of one replica's points, the port digits between
+/// replicas), which clusters whole replicas on a small arc of the ring.
+fn ring_position(hash: u64) -> u64 {
+    let mut x = hash;
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
 /// Proxy connect/read/write timeout. Generous enough for a warm hit or a
 /// small solve on the owner; a slow owner trips the local fallback rather
 /// than stalling the client indefinitely.
@@ -80,7 +94,7 @@ impl Cluster {
                 h.write_bytes(addr.as_bytes());
                 h.write_bytes(b"#");
                 h.write_u64(v as u64);
-                ring.push((h.finish(), i));
+                ring.push((ring_position(h.finish()), i));
             }
         }
         ring.sort_unstable();
@@ -100,9 +114,10 @@ impl Cluster {
     }
 
     /// Which replica owns `key_hash`: first ring point at or after the
-    /// hash, wrapping to the first point past the top.
+    /// key's ring position, wrapping to the first point past the top.
     pub fn owner_index(&self, key_hash: u64) -> usize {
-        let i = self.ring.partition_point(|&(p, _)| p < key_hash);
+        let pos = ring_position(key_hash);
+        let i = self.ring.partition_point(|&(p, _)| p < pos);
         let (_, replica) = self.ring[i % self.ring.len()];
         replica
     }
@@ -166,17 +181,25 @@ mod tests {
 
     #[test]
     fn ownership_is_roughly_balanced() {
-        let (a, _) = two_node();
-        let total = 20_000u64;
-        let mine = (0..total)
-            .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
-            .filter(|&k| a.owner_index(k) == 0)
-            .count() as f64;
-        let share = mine / total as f64;
-        assert!(
-            (0.3..=0.7).contains(&share),
-            "replica 0 owns {share:.2} of the keyspace"
-        );
+        // Every port pair, not one lucky one: tests and deployments bind
+        // whatever ports they get.
+        for port in 7000..7100 {
+            let replicas = vec![
+                format!("127.0.0.1:{port}"),
+                format!("127.0.0.1:{}", port + 1),
+            ];
+            let a = Cluster::new(replicas.clone(), &replicas[0]).unwrap();
+            let total = 20_000u64;
+            let mine = (0..total)
+                .map(|i| i.wrapping_mul(0x9e3779b97f4a7c15))
+                .filter(|&k| a.owner_index(k) == 0)
+                .count() as f64;
+            let share = mine / total as f64;
+            assert!(
+                (0.3..=0.7).contains(&share),
+                "replica 0 of {replicas:?} owns {share:.2} of the keyspace"
+            );
+        }
     }
 
     #[test]

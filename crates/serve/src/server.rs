@@ -516,14 +516,7 @@ struct SolveParams {
 
 fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, String> {
     let pvec = match req.query_param("p") {
-        Some(raw) => {
-            let entries: Result<Vec<u64>, _> =
-                raw.split(',').map(|t| t.trim().parse::<u64>()).collect();
-            let entries = entries.map_err(|e| format!("bad p-vector '{raw}': {e}"))?;
-            dclab_core::pvec::PVec::new(entries).ok_or_else(|| {
-                format!("bad p-vector '{raw}': must be non-empty and not all-zero")
-            })?
-        }
+        Some(raw) => raw.parse()?,
         None => dclab_core::pvec::PVec::l21(),
     };
     let strategy = match req.query_param("strategy") {
@@ -549,9 +542,7 @@ fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, Stri
     };
     let format = match req.query_param("format") {
         None | Some("auto") => None,
-        Some("edgelist") | Some("edge-list") => Some(graph_io::Format::EdgeList),
-        Some("dimacs") | Some("col") => Some(graph_io::Format::Dimacs),
-        Some(other) => return Err(format!("unknown format '{other}'")),
+        Some(raw) => Some(raw.parse()?),
     };
     Ok(SolveParams {
         pvec,
@@ -621,56 +612,36 @@ fn cached_solve(
             budget: params.budget,
             oracle: params.oracle,
         };
-        match solve(&req) {
-            Ok(report) => {
-                ctx.metrics.record_strategy(report.strategy_used);
-                if let Some(o) = &report.stats.oracle {
-                    ctx.metrics.record_oracle(o, report.stats.features.n);
-                }
-                if report.stats.timed_out {
-                    ctx.metrics.solve_timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                ctx.metrics
-                    .record_bound(report.stats.bound.kind, report.gap());
-                if params.strategy == Strategy::Race {
-                    ctx.metrics.record_race_winner(report.strategy_used);
-                }
-                // Write-behind: the record reaches the OS before the
-                // response; fsync happens at the shutdown drain. Timed-out
-                // harvests stay out of the archive — persisting one would
-                // warm-boot that load-dependent quality level forever.
-                if let Some(store) = &ctx.store {
-                    if !report.stats.timed_out
-                        && matches!(persist::store_append(store, key, &report), Ok(true))
-                    {
-                        ctx.metrics.store_appends.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                let (code, kind) = engine_error_meta(&e);
-                // Encode the HTTP meta in the shared error string so
-                // coalesced waiters reconstruct the same response.
-                Err(format!("{code}\x1f{kind}\x1f{e}"))
+        let report = solve(&req)?;
+        ctx.metrics.record_strategy(report.strategy_used);
+        if let Some(o) = &report.stats.oracle {
+            ctx.metrics.record_oracle(o, report.stats.features.n);
+        }
+        if report.stats.timed_out {
+            ctx.metrics.solve_timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+        ctx.metrics
+            .record_bound(report.stats.bound.kind, report.gap());
+        if params.strategy == Strategy::Race {
+            ctx.metrics.record_race_winner(report.strategy_used);
+        }
+        // Write-behind: the record reaches the OS before the response;
+        // fsync happens at the shutdown drain. Timed-out harvests stay out
+        // of the archive — persisting one would warm-boot that
+        // load-dependent quality level forever.
+        if let Some(store) = &ctx.store {
+            if !report.stats.timed_out
+                && matches!(persist::store_append(store, key, &report), Ok(true))
+            {
+                ctx.metrics.store_appends.fetch_add(1, Ordering::Relaxed);
             }
         }
+        Ok(report)
     });
-    match result {
-        Ok(report) => Ok((report, status)),
-        Err(encoded) => {
-            let mut parts = encoded.splitn(3, '\x1f');
-            let code: u16 = parts.next().and_then(|c| c.parse().ok()).unwrap_or(500);
-            let kind = match parts.next() {
-                Some("guard") => "guard",
-                Some("reduction") => "reduction",
-                Some("unsupported") => "unsupported",
-                _ => "internal",
-            };
-            let message = parts.next().unwrap_or("solve failed").to_string();
-            Err((code, kind, message))
-        }
-    }
+    result.map(|report| (report, status)).map_err(|e| {
+        let (code, kind) = engine_error_meta(&e);
+        (code, kind, e.to_string())
+    })
 }
 
 fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {

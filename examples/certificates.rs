@@ -17,6 +17,10 @@ use rand::SeedableRng;
 fn main() {
     let mut rng = StdRng::seed_from_u64(7_777);
     let p = PVec::l21();
+    let heuristic = |g: &Graph| {
+        let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::Heuristic);
+        solve(&req).expect("diameter-2 instance").solution
+    };
 
     println!("heuristic span vs lower-bound ladder, L(2,1) on diameter-2 graphs\n");
     println!(
@@ -28,7 +32,7 @@ fn main() {
         let density = (2.8 * (n as f64).ln() / n as f64).sqrt().min(0.6);
         let g =
             dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, n, density, 2);
-        let heur = solve_heuristic(&g, &p).expect("diameter-2 instance");
+        let heur = heuristic(&g);
         assert!(heur.labeling.validate(&g, &p).is_ok());
 
         let chain = chain_bound(&g, &p).unwrap();
@@ -66,7 +70,7 @@ fn main() {
         let n = g.n() as u64;
         let t = parts.len() as u64;
         let optimal = (n - 1) + (t - 1); // Corollary 2 closed form
-        let heur = solve_heuristic(&g, &p).unwrap();
+        let heur = heuristic(&g);
         let chain = chain_bound(&g, &p).unwrap();
         let mst = mst_bound(&g, &p).unwrap();
         println!(

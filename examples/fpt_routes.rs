@@ -17,6 +17,10 @@ use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
+    let exact = |g: &Graph, p: &PVec| {
+        let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::Exact);
+        solve(&req).expect("diameter-2 instance").solution
+    };
 
     println!("=== Corollary 2: diameter-2 L(p,q) via Partition into Paths ===\n");
     println!(
@@ -26,7 +30,7 @@ fn main() {
     for n in [8usize, 10, 12, 14] {
         let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
         let pip = solve_diam2_lpq(&g, 2, 1, PipSolver::SubsetDp).unwrap();
-        let tsp = solve_exact(&g, &PVec::l21()).unwrap();
+        let tsp = exact(&g, &PVec::l21());
         assert_eq!(pip.span, tsp.span);
         println!(
             "{:>5} {:>10} {:>12} {:>12} {:>10}",
@@ -77,7 +81,7 @@ fn main() {
     let p = PVec::l21();
     for n in [8usize, 10, 12] {
         let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
-        let opt = solve_exact(&g, &p).unwrap();
+        let opt = exact(&g, &p);
         let approx = solve_pmax_approx(&g, &p, L1Engine::Exact);
         assert!(approx.labeling.validate(&g, &p).is_ok());
         println!(

@@ -8,15 +8,17 @@
 //!
 //! Run with: `cargo run --release --example frequency_assignment`
 
-use dclab::core::solver::solve_heuristic_with;
 use dclab::prelude::*;
-use dclab::tsp::driver::HeuristicConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2023);
     let p = PVec::l21();
+    let run = |g: &Graph, strategy| {
+        let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(strategy);
+        solve(&req).expect("diameter-2 instance").solution
+    };
 
     println!("=== frequency assignment on synthetic transmitter networks ===\n");
     println!(
@@ -27,10 +29,10 @@ fn main() {
     for n in [8usize, 12, 16, 20] {
         // Urban cell: dense random network, resampled to diameter ≤ 2.
         let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, n, 0.55, 2);
-        let exact = solve_exact(&g, &p).expect("diameter-2 instance");
-        let approx = solve_approx15(&g, &p).unwrap();
-        let heur = solve_heuristic(&g, &p).unwrap();
-        let greedy = solve_greedy(&g, &p);
+        let exact = run(&g, Strategy::Exact);
+        let approx = run(&g, Strategy::Approx15);
+        let heur = run(&g, Strategy::Heuristic);
+        let greedy = run(&g, Strategy::Greedy);
         for sol in [&exact, &approx, &heur, &greedy] {
             assert!(sol.labeling.validate(&g, &p).is_ok(), "invalid assignment");
         }
@@ -48,9 +50,8 @@ fn main() {
     // A larger deployment where exact search is hopeless: heuristic only.
     println!("\nlarge deployment (exact intractable):");
     let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, 300, 0.24, 2);
-    let cfg = HeuristicConfig::default();
-    let heur = solve_heuristic_with(&g, &p, &cfg).unwrap();
-    let greedy = solve_greedy(&g, &p);
+    let heur = run(&g, Strategy::Heuristic);
+    let greedy = run(&g, Strategy::Greedy);
     assert!(heur.labeling.validate(&g, &p).is_ok());
     println!(
         "  n={} m={}: chained-LK span {} vs greedy span {} ({}% saved)",

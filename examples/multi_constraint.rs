@@ -60,10 +60,11 @@ fn main() {
                 print!("{:>12}", "n/a");
                 continue;
             }
-            match solve_exact(g, p) {
-                Ok(sol) => {
-                    assert!(sol.labeling.validate(g, p).is_ok());
-                    print!("{:>12}", sol.span);
+            let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::Exact);
+            match solve(&req) {
+                Ok(report) => {
+                    assert!(report.solution.labeling.validate(g, p).is_ok());
+                    print!("{:>12}", report.solution.span);
                 }
                 Err(e) => print!("{:>12}", format!("({e:?})")),
             }

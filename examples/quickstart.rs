@@ -25,24 +25,31 @@ fn main() {
         reduced.tsp.is_metric()
     );
 
+    // Every route below runs through the engine's one front door; the
+    // strategy names the route.
+    let run = |strategy| {
+        let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(strategy);
+        solve(&req).expect("Petersen is eligible").solution
+    };
+
     // 2) Exact optimum via Held–Karp (Corollary 1).
-    let exact = solve_exact(&g, &p).expect("within exact size guard");
+    let exact = run(Strategy::Exact);
     println!("exact span (Held–Karp):        λ = {}", exact.span);
     assert!(exact.labeling.validate(&g, &p).is_ok());
 
     // 3) Polynomial 1.5-approximation (Christofides/Hoogeveen).
-    let approx = solve_approx15(&g, &p).expect("eligible");
+    let approx = run(Strategy::Approx15);
     println!("1.5-approximation:             λ ≤ {}", approx.span);
     assert!(approx.labeling.validate(&g, &p).is_ok());
     assert!(2 * approx.span <= 3 * exact.span);
 
     // 4) Practical heuristic (chained Lin–Kernighan-style, parallel).
-    let heur = solve_heuristic(&g, &p).expect("eligible");
+    let heur = run(Strategy::Heuristic);
     println!("chained-LK heuristic:          λ ≤ {}", heur.span);
     assert!(heur.labeling.validate(&g, &p).is_ok());
 
     // 5) Greedy baseline for contrast (no reduction).
-    let greedy = solve_greedy(&g, &p);
+    let greedy = run(Strategy::Greedy);
     println!("greedy first-fit baseline:     λ ≤ {}", greedy.span);
 
     // The optimal labeling, vertex by vertex.

@@ -12,7 +12,8 @@
 //! let p = PVec::new(vec![2, 1]).unwrap();
 //!
 //! // Theorem 2: reduce to Metric Path TSP and solve exactly (Held–Karp).
-//! let solution = solve_exact(&g, &p).unwrap();
+//! let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::Exact);
+//! let solution = solve(&req).unwrap().solution;
 //! assert_eq!(solution.span, 9); // λ_{2,1}(Petersen) = 9
 //! assert!(solution.labeling.validate(&g, &p).is_ok());
 //! ```
@@ -29,9 +30,7 @@ pub mod prelude {
     pub use dclab_core::labeling::Labeling;
     pub use dclab_core::pvec::PVec;
     pub use dclab_core::reduction::reduce_to_path_tsp;
-    pub use dclab_core::solver::{
-        solve_approx15, solve_exact, solve_greedy, solve_heuristic, Solution,
-    };
+    pub use dclab_core::routes::Solution;
     pub use dclab_engine::{
         solve, solve_batch, Budget, EngineError, SolveReport, SolveRequest, Strategy,
     };

@@ -3,14 +3,20 @@
 
 use dclab::core::baseline::exact::exact_labeling_bruteforce;
 use dclab::core::diam2::{solve_diam2_lpq, PipSolver};
+use dclab::core::guard::GuardError;
 use dclab::core::l1::{solve_l1, L1Engine};
-use dclab::core::solver::SolveError;
 use dclab::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn diam2_graph(rng: &mut StdRng, n: usize) -> Graph {
     dclab::graph::generators::random::gnp_with_diameter_at_most(rng, n, 0.5, 2)
+}
+
+/// One engine solve over an explicit route.
+fn solve_with(g: &Graph, p: &PVec, strategy: Strategy) -> Result<Solution, EngineError> {
+    let req = SolveRequest::new(g.clone(), p.clone()).with_strategy(strategy);
+    solve(&req).map(|report| report.solution)
 }
 
 #[test]
@@ -21,12 +27,12 @@ fn full_pipeline_agreement_ladder() {
     for trial in 0..8 {
         let g = diam2_graph(&mut rng, 9);
         for p in [PVec::l21(), PVec::lpq(3, 2).unwrap(), PVec::ones(2)] {
-            let exact = solve_exact(&g, &p).unwrap();
+            let exact = solve_with(&g, &p, Strategy::Exact).unwrap();
             let (_, oracle) = exact_labeling_bruteforce(&g, &p);
             assert_eq!(exact.span, oracle, "trial={trial} {p}");
-            let approx = solve_approx15(&g, &p).unwrap();
-            let heur = solve_heuristic(&g, &p).unwrap();
-            let greedy = solve_greedy(&g, &p);
+            let approx = solve_with(&g, &p, Strategy::Approx15).unwrap();
+            let heur = solve_with(&g, &p, Strategy::Heuristic).unwrap();
+            let greedy = solve_with(&g, &p, Strategy::Greedy).unwrap();
             for sol in [&exact, &approx, &heur, &greedy] {
                 assert!(sol.labeling.validate(&g, &p).is_ok());
                 assert_eq!(sol.labeling.span(), sol.span);
@@ -47,8 +53,8 @@ fn reduction_span_invariant_under_relabeling() {
         let h = g.relabeled(&perm);
         let p = PVec::l21();
         assert_eq!(
-            solve_exact(&g, &p).unwrap().span,
-            solve_exact(&h, &p).unwrap().span
+            solve_with(&g, &p, Strategy::Exact).unwrap().span,
+            solve_with(&h, &p, Strategy::Exact).unwrap().span
         );
     }
 }
@@ -64,7 +70,7 @@ fn diam2_pip_and_tsp_routes_agree_both_orders() {
             if !pv.is_smooth() {
                 continue;
             }
-            let tsp = solve_exact(&g, &pv).unwrap();
+            let tsp = solve_with(&g, &pv, Strategy::Exact).unwrap();
             let pip = solve_diam2_lpq(&g, p, q, PipSolver::SubsetDp).unwrap();
             assert_eq!(tsp.span, pip.span, "p={p} q={q}");
         }
@@ -78,7 +84,7 @@ fn l1_route_agrees_with_tsp_route_on_diam2() {
     for _ in 0..6 {
         let g = diam2_graph(&mut rng, 9);
         let p = PVec::ones(2);
-        let via_tsp = solve_exact(&g, &p).unwrap();
+        let via_tsp = solve_with(&g, &p, Strategy::Exact).unwrap();
         let (_, via_coloring) = solve_l1(&g, 2, L1Engine::Exact);
         let (_, via_nd) = solve_l1(&g, 2, L1Engine::NdFpt);
         assert_eq!(via_tsp.span, via_coloring);
@@ -91,19 +97,22 @@ fn error_paths_are_reported() {
     let p = PVec::l21();
     // Disconnected.
     let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-    assert!(matches!(solve_exact(&g, &p), Err(SolveError::Reduction(_))));
+    assert!(matches!(
+        solve_with(&g, &p, Strategy::Exact),
+        Err(EngineError::Reduction(_))
+    ));
     // Diameter too large.
     let path = dclab::graph::generators::classic::path(6);
     assert!(matches!(
-        solve_exact(&path, &p),
-        Err(SolveError::Reduction(_))
+        solve_with(&path, &p, Strategy::Exact),
+        Err(EngineError::Reduction(_))
     ));
     // Non-smooth p.
     let star = dclab::graph::generators::classic::star(5);
     let bad_p = PVec::lpq(7, 1).unwrap();
     assert!(matches!(
-        solve_exact(&star, &bad_p),
-        Err(SolveError::Reduction(_))
+        solve_with(&star, &bad_p, Strategy::Exact),
+        Err(EngineError::Reduction(_))
     ));
 }
 
@@ -114,10 +123,10 @@ fn scaling_identity_lambda_cp_equals_c_lambda_p() {
     for _ in 0..5 {
         let g = diam2_graph(&mut rng, 8);
         let p = PVec::l21();
-        let base = solve_exact(&g, &p).unwrap().span;
+        let base = solve_with(&g, &p, Strategy::Exact).unwrap().span;
         for c in [2u64, 3, 5] {
             let scaled = p.scaled(c).unwrap();
-            let got = solve_exact(&g, &scaled).unwrap().span;
+            let got = solve_with(&g, &scaled, Strategy::Exact).unwrap().span;
             assert_eq!(got, c * base, "c={c}");
         }
     }
@@ -129,10 +138,10 @@ fn heuristic_solves_sizes_exact_cannot() {
     let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, 120, 0.35, 2);
     let p = PVec::l21();
     assert!(matches!(
-        solve_exact(&g, &p),
-        Err(SolveError::TooLargeForExact { .. })
+        solve_with(&g, &p, Strategy::Exact),
+        Err(EngineError::Guard(GuardError::TooLargeForExact { .. }))
     ));
-    let heur = solve_heuristic(&g, &p).unwrap();
+    let heur = solve_with(&g, &p, Strategy::Heuristic).unwrap();
     assert!(heur.labeling.validate(&g, &p).is_ok());
     // Lower bound: (n-1)·p_min.
     assert!(heur.span >= (g.n() as u64 - 1) * p.pmin());
@@ -149,7 +158,7 @@ fn all_p_dimensions_work_when_diameter_allows() {
             None => continue,
         };
         let p = PVec::new(vec![2; diam as usize]).unwrap();
-        let sol = solve_exact(&g, &p).unwrap();
+        let sol = solve_with(&g, &p, Strategy::Exact).unwrap();
         assert!(sol.labeling.validate(&g, &p).is_ok());
         // All-equal p: λ = 2·(n-1) exactly (every step costs 2).
         assert_eq!(sol.span, 2 * (g.n() as u64 - 1));

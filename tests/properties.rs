@@ -2,7 +2,11 @@
 //! paper and the substrates.
 
 use dclab::core::reduction::{reduce_to_path_tsp, reduce_unchecked, span_for_permutation};
+use dclab::core::routes;
+use dclab::par::Deadline;
 use dclab::prelude::*;
+use dclab::tsp::driver::HeuristicConfig;
+use dclab::tsp::matching::MatchingBackend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,8 +92,8 @@ proptest! {
         prop_assume!(dclab::graph::diameter::diameter(&g) == Some(2));
         let small = PVec::lpq(2, 1).unwrap();
         let large = PVec::lpq(2, 2).unwrap();
-        let a = solve_exact(&g, &small).unwrap().span;
-        let b = solve_exact(&g, &large).unwrap().span;
+        let a = routes::exact_route(&reduce_to_path_tsp(&g, &small).unwrap()).unwrap().span;
+        let b = routes::exact_route(&reduce_to_path_tsp(&g, &large).unwrap()).unwrap().span;
         prop_assert!(a <= b);
     }
 
@@ -100,10 +104,11 @@ proptest! {
         let g = connected_graph(seed, 9, 0.5);
         let p = PVec::l21();
         prop_assume!(dclab::graph::diameter::diameter(&g).unwrap() as usize <= p.k());
-        let exact = solve_exact(&g, &p).unwrap();
+        let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        let exact = routes::exact_route(&reduced).unwrap();
         prop_assert!(exact.labeling.validate(&g, &p).is_ok());
-        let heur = solve_heuristic(&g, &p).unwrap();
-        let approx = solve_approx15(&g, &p).unwrap();
+        let heur = routes::heuristic_route(&reduced, &HeuristicConfig::default());
+        let approx = routes::approx15_route(&reduced, MatchingBackend::Auto);
         prop_assert!(heur.span >= exact.span);
         prop_assert!(approx.span >= exact.span);
         prop_assert!(2 * approx.span <= 3 * exact.span);
@@ -146,7 +151,7 @@ proptest! {
         let g = connected_graph(seed, 8, 0.5);
         let p = PVec::l21();
         prop_assume!(dclab::graph::diameter::diameter(&g).unwrap() as usize <= p.k());
-        let sol = solve_greedy(&g, &p);
+        let sol = routes::greedy_route(&g, &p, &Deadline::none());
         let norm = sol.labeling.normalized();
         prop_assert!(norm.validate(&g, &p).is_ok());
         prop_assert!(norm.span() <= sol.labeling.span());

@@ -12,15 +12,32 @@
 //!   graphs. Non-isomorphic graphs may collide (1-WL is not a complete
 //!   invariant); callers must confirm a hit by comparing canonical edges.
 //! * [`CanonicalForm::edges`] is the edge list after a canonical relabeling
-//!   built by refinement plus orbit individualization. It is exact for
-//!   graphs whose stable classes are automorphism orbits (everything the
-//!   generators here produce); in the rare case two isomorphic labelings
-//!   canonize differently, the cache merely misses — it never serves a
-//!   wrong entry.
+//!   built by refinement plus individualization. It is invariant under
+//!   relabeling when every class the relabeling individualizes is an
+//!   automorphism orbit, which twin classes (below) always are. Otherwise
+//!   two isomorphic labelings can canonize differently (a random cograph
+//!   does about 2 times in 1000, cubic graphs almost always); the cache
+//!   then merely misses — it never serves a wrong entry.
 //!
 //! [`CanonicalForm::perm`] maps original vertex ids to canonical ids, which
 //! lets a cache translate a stored labeling back into the requester's
 //! vertex numbering.
+//!
+//! **Twin classes.** The relabeling walks the stable colour classes in
+//! colour order. A *twin class* is one whose members all share one open
+//! neighbourhood, or all share one closed neighbourhood. It takes
+//! consecutive canonical ids in vertex-id order in one step, with no
+//! refinement. The step relies on the colouring being stable: every vertex
+//! outside a twin class then sees all of it or none of it, so
+//! individualizing its members one at a time would split off exactly those
+//! members and only renumber the colours — the twin step gives those same
+//! ids, byte for byte. Recognizing a twin class compares each member's
+//! sorted neighbour list with the smallest-id member's, so it costs at
+//! most the degree sum over the class. Any other non-singleton class costs
+//! one individualization and a full re-refinement. The core–periphery
+//! graphs `dclab gen smalldiam` emits without `--extra` have only twin
+//! classes, so past the first refinement they canonicalize in
+//! O(n log n + m).
 
 use crate::graph::Graph;
 
@@ -112,12 +129,6 @@ impl CanonicalForm {
     }
 }
 
-/// The isomorphism-invariant hash alone (no relabeling work).
-pub fn canon_hash(g: &Graph) -> u64 {
-    let colors = refine_to_stable(g, None);
-    invariant_hash(g, &colors)
-}
-
 /// One round of color refinement: recolor every vertex by
 /// `(old color, sorted multiset of neighbor colors)`, with new color ids
 /// assigned in lexicographic signature order (an invariant ordering, since
@@ -202,62 +213,200 @@ fn invariant_hash(g: &Graph, colors: &[u32]) -> u64 {
     h.finish()
 }
 
-/// Canonical relabeling: refine, and while classes remain non-singleton,
-/// individualize the smallest-id non-singleton class (splitting off one
-/// member) and re-refine. For classes that are automorphism orbits any
-/// representative yields the same canonical graph; the member with the
-/// smallest original id keeps the procedure deterministic.
+/// Canonical relabeling: walk the stable classes in colour order and hand
+/// out canonical ids in turn. A twin class (a singleton is a trivial one)
+/// takes the next ids in vertex-id order. Any other non-singleton class has
+/// its smallest-id member individualized: that member gets a fresh colour
+/// just below its class, the colouring is re-refined, and the walk goes on
+/// behind it over the refined classes. For classes that are automorphism
+/// orbits any representative yields the same canonical graph; the member
+/// with the smallest original id keeps the procedure deterministic.
+///
+/// The twin step gives the ids that individualizing the class one member
+/// at a time would (see the module docs). The walk also relies on this: a
+/// refinement round orders vertices by old colour first and never splits a
+/// twin class, so the classes the walk has passed keep their places through
+/// every later refinement.
 fn canonical_perm(g: &Graph, mut colors: Vec<u32>) -> Vec<u32> {
-    let n = g.n();
-    loop {
-        let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
-        if distinct == n {
-            break;
-        }
-        // Find the smallest color with ≥ 2 members and its first member.
-        let mut class_size = vec![0u32; distinct];
-        for &c in &colors {
-            class_size[c as usize] += 1;
-        }
-        let target = class_size
+    // Vertices sorted by colour, ties by id (the sort is stable); once the
+    // walk is done, position `i` holds the vertex with canonical id `i`.
+    let by_colour = |colors: &[u32]| {
+        let mut order: Vec<u32> = (0..g.n() as u32).collect();
+        order.sort_by_key(|&v| colors[v as usize]);
+        order
+    };
+    let mut order = by_colour(&colors);
+    let mut i = 0;
+    while i < order.len() {
+        let c = colors[order[i] as usize];
+        let len = order[i..]
             .iter()
-            .position(|&s| s >= 2)
-            .expect("non-discrete partition has a non-singleton class") as u32;
-        let chosen = (0..n)
-            .find(|&v| colors[v] == target)
-            .expect("class member exists");
-        // Split `chosen` off: give it a fresh color below its old class so
-        // the seeded coloring stays a refinement of the stable one, then
-        // re-refine (ids are re-normalized by the next round anyway).
-        let mut seeded: Vec<u32> = colors.iter().map(|&c| 2 * c + 1).collect();
-        seeded[chosen] = 2 * target;
+            .take_while(|&&v| colors[v as usize] == c)
+            .count();
+        let class = &order[i..i + len];
+        if is_twin_class(g, class) {
+            i += len;
+            continue;
+        }
+        let mut seeded: Vec<u32> = colors.iter().map(|&x| 2 * x + 1).collect();
+        seeded[class[0] as usize] = 2 * c;
         colors = refine_to_stable(g, Some(seeded));
+        order = by_colour(&colors);
+        // The individualized member is now the singleton at position `i`.
+        i += 1;
     }
-    colors
+    let mut perm = vec![0u32; order.len()];
+    for (canonical, &v) in order.iter().enumerate() {
+        perm[v as usize] = canonical as u32;
+    }
+    perm
+}
+
+/// `true` iff all members of `class` (sorted by id) share the first
+/// member's open neighbourhood, or all share its closed neighbourhood.
+/// Allocation-free; stops at the first mismatch, so it costs at most the
+/// degree sum over the class.
+fn is_twin_class(g: &Graph, class: &[u32]) -> bool {
+    let &[u, second, ..] = class else {
+        return true; // a singleton
+    };
+    let (nu, rest) = (g.neighbors(u as usize), &class[1..]);
+    if nu.binary_search(&second).is_err() {
+        // Open twins: N(w) = N(u), so the class is an independent set.
+        rest.iter().all(|&w| g.neighbors(w as usize) == nu)
+    } else {
+        // Closed twins: u ~ w and N(u) ∖ {w} = N(w) ∖ {u}.
+        rest.iter().all(|&w| {
+            nu.binary_search(&w).is_ok()
+                && nu
+                    .iter()
+                    .filter(|&&x| x != w)
+                    .eq(g.neighbors(w as usize).iter().filter(|&&x| x != u))
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::classic;
+    use crate::generators::{classic, random};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The canonical relabeling before the twin step, verbatim: it
+    /// individualizes twin classes one member at a time, re-refining from
+    /// scratch after each. The reference for the differential property.
+    fn canonical_perm_reference(g: &Graph, mut colors: Vec<u32>) -> Vec<u32> {
+        let n = g.n();
+        loop {
+            let distinct = colors.iter().copied().max().map_or(0, |c| c as usize + 1);
+            if distinct == n {
+                break;
+            }
+            // Find the smallest color with ≥ 2 members and its first member.
+            let mut class_size = vec![0u32; distinct];
+            for &c in &colors {
+                class_size[c as usize] += 1;
+            }
+            let target = class_size
+                .iter()
+                .position(|&s| s >= 2)
+                .expect("non-discrete partition has a non-singleton class")
+                as u32;
+            let chosen = (0..n)
+                .find(|&v| colors[v] == target)
+                .expect("class member exists");
+            // Split `chosen` off: give it a fresh color below its old class so
+            // the seeded coloring stays a refinement of the stable one, then
+            // re-refine (ids are re-normalized by the next round anyway).
+            let mut seeded: Vec<u32> = colors.iter().map(|&c| 2 * c + 1).collect();
+            seeded[chosen] = 2 * target;
+            colors = refine_to_stable(g, Some(seeded));
+        }
+        colors
+    }
+
+    /// [`CanonicalForm::of`] as it was before the twin step.
+    fn reference_form(g: &Graph) -> CanonicalForm {
+        let colors = refine_to_stable(g, None);
+        let hash = invariant_hash(g, &colors);
+        let perm = canonical_perm_reference(g, colors);
+        let mut edges: Vec<(u32, u32)> = g
+            .edges()
+            .map(|(u, v)| {
+                let (a, b) = (perm[u], perm[v]);
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        edges.sort_unstable();
+        CanonicalForm {
+            hash,
+            perm,
+            edges,
+            n: g.n(),
+        }
+    }
+
+    /// A graph on about `n ≥ 1` vertices from the twin-rich family
+    /// `family % 6`, with its shape drawn from `seed`.
+    fn twin_rich(family: u8, seed: u64, n: usize) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match family % 6 {
+            0 => {
+                let core = 1 + (seed % 8) as usize;
+                let extra = [0.0, 0.02, 0.1][(seed / 8 % 3) as usize];
+                random::core_periphery(&mut rng, n, core, extra)
+            }
+            1 => random::random_cograph(&mut rng, n, 0.5),
+            2 => random::random_split(&mut rng, 1 + n / 3, n - 1 - n / 3, 0.3),
+            3 => {
+                let parts: Vec<usize> = (0..1 + seed % 4)
+                    .map(|_| rng.random_range(1usize..7))
+                    .collect();
+                classic::complete_multipartite(&parts)
+            }
+            4 if seed.is_multiple_of(2) => classic::caterpillar(1 + n / 4, (seed / 2 % 4) as usize),
+            4 => classic::star(n),
+            _ => random::gnp(&mut rng, n, 0.35),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1200))]
+
+        /// The twin step is byte-identical to individualizing one member at
+        /// a time: hash, perm, edges and n, on twin-rich graphs in their
+        /// generated numbering and under a random relabeling.
+        #[test]
+        fn twin_step_matches_the_reference(family in 0u8..6, seed in any::<u64>(), n in 1usize..40) {
+            let g = twin_rich(family, seed, n);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7A1E);
+            let h = g.relabeled(&random::random_permutation(&mut rng, g.n()));
+            prop_assert_eq!(CanonicalForm::of(&g), reference_form(&g));
+            prop_assert_eq!(CanonicalForm::of(&h), reference_form(&h));
+        }
+    }
 
     #[test]
     fn hash_invariant_under_relabeling() {
         let g = classic::petersen();
         let perm = vec![9, 3, 7, 0, 5, 1, 8, 2, 6, 4];
         let h = g.relabeled(&perm);
-        assert_eq!(canon_hash(&g), canon_hash(&h));
-        assert!(CanonicalForm::of(&g).same_canonical_graph(&CanonicalForm::of(&h)));
+        let (cg, ch) = (CanonicalForm::of(&g), CanonicalForm::of(&h));
+        assert_eq!(cg.hash, ch.hash);
+        assert!(cg.same_canonical_graph(&ch));
     }
 
     #[test]
     fn different_graphs_usually_differ() {
-        let path = classic::path(6);
-        let cycle = classic::cycle(6);
-        let star = classic::star(6);
-        assert_ne!(canon_hash(&path), canon_hash(&cycle));
-        assert_ne!(canon_hash(&path), canon_hash(&star));
-        assert_ne!(canon_hash(&cycle), canon_hash(&star));
+        let hash = |g: &Graph| CanonicalForm::of(g).hash;
+        let path = hash(&classic::path(6));
+        let cycle = hash(&classic::cycle(6));
+        let star = hash(&classic::star(6));
+        assert_ne!(path, cycle);
+        assert_ne!(path, star);
+        assert_ne!(cycle, star);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod unionfind;
 
 pub use apsp::DistanceMatrix;
 pub use bitset::BitRows;
-pub use canon::{canon_hash, CanonicalForm};
+pub use canon::CanonicalForm;
 pub use csr::Csr;
 pub use graph::Graph;
 pub use unionfind::UnionFind;

@@ -188,6 +188,55 @@ pub fn try_parse(
     max_head: usize,
     max_body: usize,
 ) -> Result<Option<(Request, usize)>, ParseError> {
+    let Some((mut request, head_end)) = parse_head(data, max_head)? else {
+        return Ok(None);
+    };
+    if request
+        .headers
+        .iter()
+        .any(|(k, v)| k == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
+    {
+        return Err(ParseError::Bad("transfer-encoding not supported"));
+    }
+    let content_length = match request.header("content-length") {
+        Some(v) => v
+            .parse::<usize>()
+            .map_err(|_| ParseError::Bad("bad content-length"))?,
+        None => 0,
+    };
+    // Reject an oversized body from the Content-Length declaration alone —
+    // before buffering a single body byte (→ 413, connection closes).
+    if content_length > max_body {
+        return Err(ParseError::TooLarge("body too large"));
+    }
+    if data.len() < head_end + content_length {
+        return Ok(None);
+    }
+    request.body = data[head_end..head_end + content_length].to_vec();
+    Ok(Some((request, head_end + content_length)))
+}
+
+/// The interim response that releases a client waiting on
+/// `Expect: 100-continue`.
+pub(crate) const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
+/// `true` when `data` starts with a complete HTTP/1.1 head carrying
+/// `Expect: 100-continue` (value matched case-insensitively). Such a
+/// client (curl, for bodies over 1 MiB) holds its body back until it reads
+/// [`CONTINUE`] or a timeout passes. Meaningful only while [`try_parse`]
+/// still reports the request incomplete, i.e. the body has not all arrived.
+pub(crate) fn expects_continue(data: &[u8]) -> bool {
+    matches!(
+        parse_head(data, MAX_HEAD_BYTES),
+        Ok(Some((req, _))) if req.version_minor == 1
+            && req.header("expect").is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
+    )
+}
+
+/// Parse the request line and headers at the front of `data`. `Ok(None)`
+/// until the blank line ending the head has arrived; otherwise the request
+/// with an empty body, and the head's length in bytes.
+fn parse_head(data: &[u8], max_head: usize) -> Result<Option<(Request, usize)>, ParseError> {
     // Locate the end of the head: the first empty line ("\r\n" or "\n").
     let mut head_end = None; // byte offset one past the blank line
     let mut line_start = 0usize;
@@ -263,28 +312,6 @@ pub fn try_parse(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    if headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && !v.eq_ignore_ascii_case("identity"))
-    {
-        return Err(ParseError::Bad("transfer-encoding not supported"));
-    }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ParseError::Bad("bad content-length"))?,
-        None => 0,
-    };
-    // Reject an oversized body from the Content-Length declaration alone —
-    // before buffering a single body byte (→ 413, connection closes).
-    if content_length > max_body {
-        return Err(ParseError::TooLarge("body too large"));
-    }
-    if data.len() < head_end + content_length {
-        return Ok(None);
-    }
-    let body = data[head_end..head_end + content_length].to_vec();
-
     Ok(Some((
         Request {
             method,
@@ -292,10 +319,10 @@ pub fn try_parse(
             target: target.to_string(),
             query,
             headers,
-            body,
+            body: Vec::new(),
             version_minor,
         },
-        head_end + content_length,
+        head_end,
     )))
 }
 
@@ -620,6 +647,22 @@ mod tests {
             matches!(r, Err(ParseError::TooLarge("body too large"))),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn expects_continue_needs_a_complete_http11_head() {
+        let head = b"POST /solve HTTP/1.1\r\nExpect: 100-Continue\r\ncontent-length: 4\r\n\r\n";
+        assert!(expects_continue(head));
+        assert!(
+            !expects_continue(&head[..head.len() - 2]),
+            "head incomplete"
+        );
+        assert!(!expects_continue(
+            b"POST /solve HTTP/1.0\r\nexpect: 100-continue\r\ncontent-length: 4\r\n\r\n"
+        ));
+        assert!(!expects_continue(
+            b"POST /solve HTTP/1.1\r\ncontent-length: 4\r\n\r\n"
+        ));
     }
 
     #[test]

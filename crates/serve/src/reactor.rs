@@ -23,7 +23,9 @@
 //! * **Reading / KeepAlive** — interest `EPOLLIN`; bytes land in the
 //!   connection's recycled [`RecvBuffer`] and [`try_parse`] runs after
 //!   every read (incremental: a byte-by-byte dribbler costs re-parses,
-//!   never blocks the thread).
+//!   never blocks the thread). A complete HTTP/1.1 head with
+//!   `Expect: 100-continue` whose body has not all arrived gets one
+//!   interim `100 Continue` line, so the client sends the body at once.
 //! * **Dispatched** — a `/solve` or `/batch` was handed to the
 //!   [`WorkerPool`]; interest drops to 0 (pipelined bytes wait in the
 //!   buffer). The worker routes + renders off-thread and pushes the
@@ -53,7 +55,10 @@ use std::time::{Duration, Instant};
 
 use dclab_par::{SubmitError, WorkerPool};
 
-use crate::http::{render_response, try_parse, ParseError, RecvBuffer, Request, MAX_HEAD_BYTES};
+use crate::http::{
+    expects_continue, render_response, try_parse, ParseError, RecvBuffer, Request, CONTINUE,
+    MAX_HEAD_BYTES,
+};
 use crate::server::{self, ServeCtx};
 
 /// Raw epoll/eventfd bindings against the libc std already links.
@@ -224,6 +229,8 @@ struct Conn {
     close_after_write: bool,
     /// Peer EOF seen (half-close): serve what is buffered, then close.
     eof: bool,
+    /// `100 Continue` already sent for the request being read.
+    continue_sent: bool,
 }
 
 impl Conn {
@@ -238,6 +245,7 @@ impl Conn {
             last_activity: Instant::now(),
             close_after_write: false,
             eof: false,
+            continue_sent: false,
         }
     }
 }
@@ -493,6 +501,7 @@ impl Reactor {
             match try_parse(conn.rb.data(), MAX_HEAD_BYTES, self.ctx.max_body_bytes) {
                 Ok(Some((req, consumed))) => {
                     conn.rb.consume(consumed);
+                    conn.continue_sent = false;
                     let verdict = self.process_request(conn, token, req);
                     if verdict == Verdict::Close {
                         return Verdict::Close;
@@ -513,6 +522,16 @@ impl Reactor {
                             "truncated request",
                             "bad-request",
                         );
+                    }
+                    if !conn.continue_sent && expects_continue(conn.rb.data()) {
+                        // No response is pending while Reading (each one
+                        // flushes before the next parse), so the interim
+                        // line cannot interleave with one. A short write
+                        // closes instead of leaving half a status line.
+                        conn.continue_sent = true;
+                        if conn.stream.write_all(CONTINUE).is_err() {
+                            return Verdict::Close;
+                        }
                     }
                     conn.state = if conn.rb.is_empty() {
                         ConnState::KeepAlive

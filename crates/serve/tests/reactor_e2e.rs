@@ -441,6 +441,65 @@ fn oversized_bodies_rejected_with_413_on_both_paths() {
 }
 
 // ---------------------------------------------------------------------
+// Satellite: `Expect: 100-continue`. curl sends it on uploads over 1 MiB
+// and holds the body back until the interim line arrives or 1 s passes.
+// ---------------------------------------------------------------------
+
+#[test]
+fn expect_100_continue_is_answered_before_the_body() {
+    let handle = server_with(ServeConfig {
+        workers: 2,
+        cache_mb: 8,
+        queue_cap: 0,
+        max_body_bytes: 4096,
+        ..Default::default()
+    });
+    let body = graph_io::write_edge_list(&classic::petersen());
+    let head = |expect: &str| {
+        format!(
+            "POST /solve?p=2,1 HTTP/1.1\r\nhost: t\r\n{expect}content-length: {}\r\n\r\n",
+            body.len()
+        )
+    };
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    // Once per request, across keep-alive; the header value is matched
+    // case-insensitively.
+    for expect in ["expect: 100-continue\r\n", "Expect: 100-Continue\r\n"] {
+        stream.write_all(head(expect).as_bytes()).unwrap();
+        let mut interim = [0u8; 25];
+        stream
+            .read_exact(&mut interim)
+            .expect("100 Continue within 2 s of the head");
+        assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+        stream.write_all(body.as_bytes()).unwrap();
+        let frame = String::from_utf8(read_frame(&mut stream, 4096)).unwrap();
+        assert!(frame.starts_with("HTTP/1.1 200"), "{frame}");
+    }
+    // Without the header, a head sent ahead of its body gets no interim
+    // line: the next bytes on the wire are the final response.
+    stream.write_all(head("").as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(body.as_bytes()).unwrap();
+    let frame = String::from_utf8(read_frame(&mut stream, 4096)).unwrap();
+    assert!(frame.starts_with("HTTP/1.1 200"), "{frame}");
+    // An oversized declared body is refused outright, with no interim line.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"POST /solve HTTP/1.1\r\nhost: t\r\nexpect: 100-continue\r\ncontent-length: 104857600\r\n\r\n")
+        .unwrap();
+    let frame = String::from_utf8(read_frame(&mut stream, 4096)).unwrap();
+    assert!(frame.starts_with("HTTP/1.1 413"), "{frame}");
+    drop(stream);
+    shutdown(handle);
+}
+
+// ---------------------------------------------------------------------
 // Satellite: admin endpoints stay responsive while every worker is busy
 // and the queue is full — they run on the reactor thread, never the pool.
 // ---------------------------------------------------------------------

@@ -16,7 +16,10 @@
 //!   schedule (`oracle_query_ns`, gated at 70%: raw wall time);
 //! * **agreement** — a dense-backed and a hub-backed engine solve of the
 //!   same instance must return identical labelings, spans, bounds, and
-//!   query counts (quick mode, where the dense matrix still fits).
+//!   query counts (quick mode, where the dense matrix still fits);
+//! * **certificate** — the hub solve must be proved optimal: the core's
+//!   universal vertices give Corollary 2's bound, which meets the span
+//!   (`lower_bound` is recorded beside `span`).
 //!
 //! Full mode additionally runs the end-to-end engine solve at
 //! n = 50 000 — a size where the dense pipeline would need > 8 GiB and
@@ -112,6 +115,14 @@ fn main() {
     let hub_report = solve(&oracle_request(&g, OraclePolicy::Hub)).expect("hub solve succeeds");
     let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
     let span = hub_report.solution.span;
+    let lower_bound = hub_report.lower_bound;
+    // The 64 core vertices are universal, so Corollary 2's cheap rung
+    // prices the span exactly: (n−1)·p₂ + (p₁−p₂)·64.
+    if !hub_report.optimal {
+        failures.push(format!(
+            "hub solve not proved optimal: span {span}, lower bound {lower_bound}"
+        ));
+    }
     let ostats = hub_report
         .stats
         .oracle
@@ -180,7 +191,7 @@ fn main() {
         "bench e16_oracle/smalldiam n={n} m={m}: build {build_ms:.0} ms, \
          {bytes_per_vertex:.0} B/vertex ({footprint_pct:.2}% of dense), \
          query {query_ns:.0} ns, solve {solve_ms:.0} ms span={span} \
-         (checksum {checksum})"
+         lower_bound={lower_bound} (checksum {checksum})"
     );
 
     let json = format!(
@@ -202,6 +213,7 @@ fn main() {
             .f64("oracle_query_ns", query_ns)
             .f64("solve_ms", solve_ms)
             .u64("span", span)
+            .u64("lower_bound", lower_bound)
             .u64("solve_queries", ostats.queries)
             .finish()
     );

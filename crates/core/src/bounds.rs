@@ -21,8 +21,9 @@ use std::fmt;
 /// kinds get new codes, old codes never change meaning.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BoundKind {
-    /// Closed-neighborhood / chain counting ([`degree_bound`],
-    /// [`chain_bound`]) — `O(n)`-cheap, available even without a reduction.
+    /// Closed-neighborhood / chain / universal-vertex counting
+    /// ([`degree_bound`], [`chain_bound`], [`span_lower_bound_cheap`]) —
+    /// cheap, available even without a reduction.
     Degree = 0,
     /// Un-ascended tree relaxation of the reduced Path-TSP instance
     /// (MST / plain 1-tree, [`mst_bound`]).
@@ -172,9 +173,12 @@ pub fn span_bound_with_reduction(
 
 /// Reduction-free bound for the oracle (hub-label) route: the degree
 /// bound, strengthened by the chain bound when the caller already knows
-/// `diam(G)` — no distance matrix, no TSP instance, `O(n)` memory. The
-/// value depends only on `(g, p, diam)`, never on the distance backend,
-/// so dense and hub pipelines certify identical numbers.
+/// `diam(G)`, and by Corollary 2 priced from the universal vertices when
+/// `G` has one (`universal_vertex_bound`) — no distance matrix, no TSP
+/// instance, `O(n)` time and memory. All three rungs are of kind
+/// [`BoundKind::Degree`]. The value depends only on `(g, p, diam)`, never
+/// on the distance backend, so dense and hub pipelines certify identical
+/// numbers.
 pub fn span_lower_bound_cheap(g: &Graph, p: &PVec, diam: Option<u32>) -> u64 {
     let mut best = degree_bound(g, p);
     if let Some(d) = diam {
@@ -182,7 +186,30 @@ pub fn span_lower_bound_cheap(g: &Graph, p: &PVec, diam: Option<u32>) -> u64 {
             best = best.max((g.n() as u64 - 1) * p.pmin());
         }
     }
-    best
+    best.max(universal_vertex_bound(g, p).unwrap_or(0))
+}
+
+/// Corollary 2's bound, priced from the universal vertices alone. With
+/// `U ≥ 1` universal vertices and `n ≥ 2`, `diam(G) ≤ 2`, so each of the
+/// `n − 1` gaps of the sorted labeling is at least `p₁` (an edge of `G`)
+/// or `p₂` (an edge of `Ḡ`; `p₂ = 0` when `k = 1`). Every maximal run of
+/// `Ḡ`-gaps is a path of `Ḡ`, and each universal vertex is isolated in
+/// `Ḡ`, so the order splits into at least `U + [n > U]` runs, joined by at
+/// least `U + [n > U] − 1` gaps that are edges of `G`:
+///
+/// `λ ≥ (n−1)·min(p₁,p₂) + (p₁−p₂)⁺·(U + [n > U] − 1)`.
+///
+/// Sound for any `p`, smooth or not. `None` without a universal vertex or
+/// below two vertices.
+pub(crate) fn universal_vertex_bound(g: &Graph, p: &PVec) -> Option<u64> {
+    let n = g.n();
+    let universal = g.universal_count();
+    if n < 2 || universal == 0 {
+        return None;
+    }
+    let (p1, p2) = (p.at_distance(1), p.at_distance(2));
+    let runs = (universal + usize::from(n > universal)) as u64;
+    Some((n as u64 - 1) * p1.min(p2) + p1.saturating_sub(p2) * (runs - 1))
 }
 
 /// Held–Karp 1-tree ascent bound on the reduced Path-TSP instance — the
@@ -255,11 +282,13 @@ pub fn mst_bound(g: &Graph, p: &PVec) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::baseline::exact::exact_labeling_bruteforce;
+    use crate::diam2::{solve_diam2_lpq, PipSolver};
     use crate::reduction::reduce_to_path_tsp;
     use crate::routes::exact_route;
     use dclab_graph::generators::{classic, random};
+    use dclab_graph::ops::{add_universal_vertex, join};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn bounds_never_exceed_optimum() {
@@ -404,15 +433,99 @@ mod tests {
     #[test]
     fn cheap_bound_matches_degree_and_chain_composition() {
         let mut rng = StdRng::seed_from_u64(74);
-        for _ in 0..12 {
+        for i in 0..12 {
             let g = random::gnp(&mut rng, 10, 0.4);
+            // Every other graph gets a universal vertex, so the third rung
+            // is exercised rather than left to the draw.
+            let g = if i % 2 == 0 {
+                g
+            } else {
+                add_universal_vertex(&g)
+            };
             let p = PVec::l21();
             let diam = diameter(&g);
-            let want = degree_bound(&g, &p).max(chain_bound(&g, &p).unwrap_or(0));
+            let structural = degree_bound(&g, &p).max(universal_vertex_bound(&g, &p).unwrap_or(0));
+            let want = structural.max(chain_bound(&g, &p).unwrap_or(0));
             assert_eq!(span_lower_bound_cheap(&g, &p, diam), want);
-            // Without the diameter hint it degrades to the degree bound.
-            assert_eq!(span_lower_bound_cheap(&g, &p, None), degree_bound(&g, &p));
+            // Without the diameter hint the chain rung drops out.
+            assert_eq!(span_lower_bound_cheap(&g, &p, None), structural);
         }
+    }
+
+    #[test]
+    fn universal_vertex_bound_is_sound() {
+        // Smooth and non-smooth p, p₁ < p₂, and k = 1.
+        let pvecs: Vec<PVec> = [
+            vec![2, 1],
+            vec![3, 2],
+            vec![1, 1],
+            vec![1, 2],
+            vec![2],
+            vec![4, 3, 2],
+            vec![5, 2],
+        ]
+        .into_iter()
+        .map(|e| PVec::new(e).unwrap())
+        .collect();
+        let mut rng = StdRng::seed_from_u64(76);
+        for trial in 0..500 {
+            // 1–2 planted universal vertices, shuffled among the rest.
+            let n = rng.random_range(2..9usize);
+            let planted = rng.random_range(1..3usize);
+            let density = [0.1, 0.3, 0.5, 0.8][trial % 4];
+            let rest = random::gnp(&mut rng, n - planted, density);
+            let g = join(&classic::complete(planted), &rest)
+                .relabeled(&random::random_permutation(&mut rng, n));
+            let u = g.universal_count();
+            assert!(
+                u >= planted,
+                "trial {trial}: planted {planted}, counted {u}"
+            );
+            for (i, p) in pvecs.iter().enumerate() {
+                let lb = universal_vertex_bound(&g, p).expect("a universal vertex is planted");
+                // Brute force at n = 8 costs ~75 ms a call in a debug
+                // build, so an 8-vertex graph meets it with one p, taken
+                // in rotation; smaller graphs meet it with every p.
+                if n < 8 || i == trial % pvecs.len() {
+                    let (_, opt) = exact_labeling_bruteforce(&g, p);
+                    assert!(
+                        lb <= opt,
+                        "trial {trial} {p} U={u} {g:?}: bound {lb} > optimum {opt}"
+                    );
+                    let cheap = span_lower_bound_cheap(&g, p, diameter(&g));
+                    assert!(
+                        cheap <= opt,
+                        "trial {trial} {p}: cheap {cheap} > optimum {opt}"
+                    );
+                }
+                let (p1, p2) = (p.at_distance(1), p.at_distance(2));
+                if p1 >= p2 {
+                    let pip = solve_diam2_lpq(&g, p1, p2, PipSolver::SubsetDp)
+                        .unwrap()
+                        .span;
+                    assert!(
+                        lb <= pip,
+                        "trial {trial} {p}: bound {lb} > Corollary 2 {pip}"
+                    );
+                }
+            }
+        }
+        // No universal vertex, or too few vertices: no rung.
+        assert_eq!(
+            universal_vertex_bound(&classic::path(4), &PVec::l21()),
+            None
+        );
+        assert_eq!(universal_vertex_bound(&Graph::new(1), &PVec::l21()), None);
+        // K_n: U = n, so n − 1 edge gaps of p₁ each.
+        assert_eq!(
+            universal_vertex_bound(&classic::complete(5), &PVec::l21()),
+            Some(8)
+        );
+        // Star K_{1,6}: (n−1)·p₂ + (p₁−p₂)·1 = 7, the optimum.
+        assert_eq!(
+            universal_vertex_bound(&classic::star(7), &PVec::l21()),
+            Some(7)
+        );
     }
 
     #[test]

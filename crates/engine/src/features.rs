@@ -9,9 +9,11 @@ use dclab_graph::Graph;
 use crate::json::Obj;
 
 /// Largest `n` at which feature extraction runs cograph recognition.
-/// Oracle-scale instances (50k–100k vertices) skip it: every route that
-/// consumes the flag is dense-pipeline-only, so `false` is both safe and
-/// what dispatch would conclude anyway.
+/// Recognition costs `O(n + m)` per cotree level, and a cotree can be `n`
+/// levels deep, so the flag is not free. Oracle-scale instances (50k–100k
+/// vertices) skip it: every route that consumes the flag is
+/// dense-pipeline-only, so `false` is both safe and what dispatch would
+/// conclude anyway.
 const COGRAPH_CHECK_MAX_N: usize = 4096;
 
 /// Cheap structural summary of a `(G, p)` instance.
@@ -36,12 +38,18 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Extract features. The diameter comes from the streaming
-    /// bit-parallel BFS (`dclab_graph::diameter`): blocks of 64 BFS waves
-    /// folded into an eccentricity maximum without materializing the
-    /// `n × n` matrix, so `Strategy::Auto` dispatch stays cheap even on
-    /// large instances. The full distance matrix lives in the reduction,
-    /// which the engine computes separately (and once).
+    /// Extract features. Two of them carry the cost:
+    ///
+    /// - The exact diameter (`dclab_graph::diameter`). A universal vertex
+    ///   settles it with one `O(n)` degree scan. Any other graph pays the
+    ///   streaming bit-parallel sweep from every source: `O(n)` memory, but
+    ///   `n` BFS waves of work — hundreds of milliseconds at n = 12 000 —
+    ///   with no deadline check.
+    /// - The cograph flag, `O(n + m)` per cotree level, for
+    ///   `n ≤ COGRAPH_CHECK_MAX_N`.
+    ///
+    /// The full distance matrix lives in the reduction, which the engine
+    /// computes separately (and once).
     pub fn extract(g: &Graph, p: &PVec) -> InstanceFeatures {
         let diam = diameter(g);
         let k = p.k();

@@ -8,7 +8,7 @@ use dclab_core::hardness::griggs_yeh_reduction;
 use dclab_core::pvec::PVec;
 use dclab_core::reduction::reduce_to_path_tsp;
 use dclab_core::routes::exact_route;
-use dclab_engine::{solve, solve_batch, Budget, EngineError, SolveRequest, Strategy};
+use dclab_engine::{solve, solve_batch, Budget, EngineError, OraclePolicy, SolveRequest, Strategy};
 use dclab_graph::generators::{classic, random};
 use dclab_graph::Graph;
 use rand::rngs::StdRng;
@@ -357,4 +357,41 @@ fn report_json_is_parseable_shape() {
     assert!(j.contains("\"strategy_used\":\"exact\""));
     assert!(j.contains("\"reductions_computed\":1"));
     assert!(!j.contains('\n'));
+}
+
+/// Corollary 2 through the oracle path: the 64 core vertices of a
+/// core–periphery graph are universal, so the cheap certificate is
+/// (n−1)·p₂ + 64·(p₁−p₂), which meets the served span. Dense and hub
+/// backends report the same bytes apart from the backend-shape stats.
+#[test]
+fn oracle_path_proves_core_periphery_optimal() {
+    let (n, core) = (2000u64, 64u64);
+    let mut rng = StdRng::seed_from_u64(0);
+    let g = random::core_periphery(&mut rng, n as usize, core as usize, 0.0);
+    for p in [
+        PVec::l21(),
+        PVec::lpq(3, 2).unwrap(),
+        PVec::new(vec![4, 3, 2]).unwrap(),
+    ] {
+        let (p1, p2) = (p.at_distance(1), p.at_distance(2));
+        let want = (n - 1) * p2 + core * (p1 - p2);
+        let base = SolveRequest::new(g.clone(), p.clone()).with_strategy(Strategy::OraclePath);
+        let mut json = Vec::new();
+        for policy in [OraclePolicy::Dense, OraclePolicy::Hub] {
+            let mut report = solve(&base.clone().with_oracle(policy)).unwrap();
+            assert_eq!(report.lower_bound, want, "{p} {policy}");
+            assert_eq!(report.solution.span, want, "{p} {policy}");
+            assert!(report.optimal, "{p} {policy}");
+            let j = report.to_json();
+            assert!(
+                j.contains("\"kind\":\"proved-optimal\""),
+                "{p} {policy}: {j}"
+            );
+            assert!(j.contains("\"diameter\":2"), "{p} {policy}: {j}");
+            let oracle = report.stats.oracle.take().expect("oracle stats");
+            assert_eq!(oracle.backend, policy.to_string());
+            json.push((report.to_json(), oracle.queries));
+        }
+        assert_eq!(json[0], json[1], "{p}: dense and hub reports differ");
+    }
 }

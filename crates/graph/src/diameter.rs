@@ -9,10 +9,12 @@ use crate::INF;
 /// Diameter of `g`, or `None` when `g` is disconnected or empty (`n = 0`
 /// — no vertex pair, matching [`crate::DistanceMatrix::diameter`]).
 ///
-/// Runs the same bit-parallel BFS kernel as APSP, but streams blocks of
-/// 64 sources and folds their eccentricities instead of materializing the
-/// `n × n` matrix — `O(n)` words of memory per thread, which is what makes
-/// feature extraction (`Strategy::Auto` dispatch) cheap on large instances.
+/// A graph with a universal vertex is settled by one `O(n)` degree scan:
+/// every pair meets through that vertex, so the diameter is 1 when `g` is
+/// complete and 2 otherwise. Every other graph runs the same bit-parallel
+/// BFS kernel as APSP, streaming blocks of 64 sources and folding their
+/// eccentricities instead of materializing the `n × n` matrix — `O(n)`
+/// words of memory per thread, but still `n` BFS waves of work.
 pub fn diameter(g: &Graph) -> Option<u32> {
     let n = g.n();
     if n == 0 {
@@ -20,6 +22,9 @@ pub fn diameter(g: &Graph) -> Option<u32> {
     }
     if n == 1 {
         return Some(0);
+    }
+    if g.universal_count() > 0 {
+        return Some(if g.is_complete() { 1 } else { 2 });
     }
     let csr = Csr::from_graph(g);
     let per_block: Vec<Option<u32>> = dclab_par::par_map_chunks(n, BLOCK, |range| {

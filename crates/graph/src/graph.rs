@@ -146,6 +146,15 @@ impl Graph {
         self.n < 2 || self.m == self.n * (self.n - 1) / 2
     }
 
+    /// Number of universal vertices (degree `n − 1`), by one `O(n)` degree
+    /// scan. With `n ≥ 2`, each one is adjacent to every other vertex, so
+    /// any one proves `diam ≤ 2`, and each is an isolated vertex of the
+    /// complement.
+    pub fn universal_count(&self) -> usize {
+        let full = self.n.saturating_sub(1);
+        self.adj.iter().filter(|nbrs| nbrs.len() == full).count()
+    }
+
     /// Relabel vertices according to `perm` (`perm[old] = new`), preserving
     /// the edge set. Useful for permutation-invariance tests.
     pub fn relabeled(&self, perm: &[usize]) -> Graph {

@@ -3,7 +3,7 @@
 
 use crate::pvec::PVec;
 use dclab_graph::diameter::diameter;
-use dclab_graph::{DistanceMatrix, Graph, INF};
+use dclab_graph::Graph;
 use dclab_par::Deadline;
 use dclab_tsp::mst::prim_mst;
 use std::fmt;
@@ -26,7 +26,7 @@ pub enum BoundKind {
     /// cheap, available even without a reduction.
     Degree = 0,
     /// Un-ascended tree relaxation of the reduced Path-TSP instance
-    /// (MST / plain 1-tree, [`mst_bound`]).
+    /// (its MST, [`mst_bound`]).
     OneTree = 1,
     /// Held–Karp subgradient ascent on the reduced instance
     /// ([`held_karp_bound`]) — the strongest certificate short of a proof.
@@ -119,22 +119,16 @@ impl SpanBound {
     }
 }
 
-/// Best available lower bound: the maximum of all bounds below that apply
-/// (the Held–Karp 1-tree bound is the expensive, tight one — see
-/// [`held_karp_bound`] to control its iteration budget).
+/// Best available lower bound from one reduction: the
+/// [`span_bound_with_reduction`] ladder (chain/degree → MST → 50 Held–Karp
+/// ascent iterations), or the [`degree_bound`] alone when the reduction is
+/// refused (`G` disconnected or `diam(G) > k`), where no other rung
+/// applies. Smoothness is not needed: every rung is sound without it.
 pub fn span_lower_bound(g: &Graph, p: &PVec) -> u64 {
-    let mut best = 0;
-    if let Some(b) = chain_bound(g, p) {
-        best = best.max(b);
+    match crate::reduction::reduce_unchecked(g, p) {
+        Ok(reduced) => span_bound_with_reduction(g, p, &reduced, 50, &Deadline::none()).value,
+        Err(_) => degree_bound(g, p),
     }
-    best = best.max(degree_bound(g, p));
-    if let Some(b) = mst_bound(g, p) {
-        best = best.max(b);
-    }
-    if let Some(b) = held_karp_bound(g, p, 50) {
-        best = best.max(b);
-    }
-    best
 }
 
 /// [`span_lower_bound`] computed against an already-built reduction, so
@@ -212,7 +206,7 @@ pub(crate) fn universal_vertex_bound(g: &Graph, p: &PVec) -> Option<u64> {
     Some((n as u64 - 1) * p1.min(p2) + p1.saturating_sub(p2) * (runs - 1))
 }
 
-/// Held–Karp 1-tree ascent bound on the reduced Path-TSP instance — the
+/// Held–Karp path-form ascent bound on the reduced Path-TSP instance — the
 /// strongest certificate available at sizes beyond exact search. Requires
 /// `diam(G) ≤ k`; valid (as a lower bound) even without smoothness.
 pub fn held_karp_bound(g: &Graph, p: &PVec, iters: usize) -> Option<u64> {
@@ -255,27 +249,11 @@ pub fn degree_bound(g: &Graph, p: &PVec) -> u64 {
 /// `diam(G) ≤ k`; also valid without smoothness (the TSP value lower-bounds
 /// the span either way).
 pub fn mst_bound(g: &Graph, p: &PVec) -> Option<u64> {
-    let n = g.n();
-    if n == 0 {
+    if g.n() == 0 {
         return Some(0);
     }
-    let dist = DistanceMatrix::compute(g);
-    let diam = dist.diameter()?;
-    if diam as usize > p.k() {
-        return None;
-    }
-    let mut w = vec![0u64; n * n];
-    for u in 0..n {
-        for v in 0..n {
-            if u != v {
-                let d = dist.get(u, v);
-                debug_assert_ne!(d, INF);
-                w[u * n + v] = p.at_distance(d);
-            }
-        }
-    }
-    let inst = dclab_tsp::TspInstance::from_matrix(n, w);
-    Some(prim_mst(&inst).1)
+    let reduced = crate::reduction::reduce_unchecked(g, p).ok()?;
+    Some(prim_mst(&reduced.tsp).1)
 }
 
 #[cfg(test)]

@@ -211,7 +211,7 @@ pub struct Budget {
     /// Chained-LK restarts (`None` → the driver default).
     pub restarts: Option<usize>,
     /// Held–Karp ascent iterations for the lower-bound certificate
-    /// (`None` → 50; `Some(0)` skips the 1-tree bound).
+    /// (`None` → 50; `Some(0)` skips the ascent).
     pub lb_iters: Option<usize>,
     /// Wall-clock budget in milliseconds, measured from solve entry.
     /// `None` (the default) keeps the solve purely logical — bit-identical

@@ -8,6 +8,7 @@
 //! produces for diameter-2 graphs); also handles `n > 24` when the
 //! instance is benign. Used in tests as a third independent exact oracle.
 
+use crate::mst::{prim, PrimScratch};
 use crate::tour::path_weight;
 use crate::{TspInstance, Weight};
 use dclab_par::Deadline;
@@ -167,6 +168,7 @@ pub fn branch_bound_path_anytime(
         root_bound,
         traced: trace.is_enabled(),
         trace: &trace,
+        prim: PrimScratch::default(),
     };
     let mut path = Vec::with_capacity(n);
     let mut used = vec![false; n];
@@ -214,6 +216,8 @@ struct Search<'a> {
     /// single predictable branch when tracing is off.
     traced: bool,
     trace: &'a dclab_trace::Trace,
+    /// Buffers of the per-node completion bound.
+    prim: PrimScratch<Weight>,
 }
 
 impl Search<'_> {
@@ -269,7 +273,7 @@ impl Search<'_> {
             // lower bound — the remaining search cannot improve on it.
             return Err(BbStatus::Proved);
         }
-        let bound = acc + mst_over_remaining(inst, used, tip);
+        let bound = acc + mst_over_remaining(inst, used, tip, &mut self.prim);
         if bound >= prune_at {
             return Ok(()); // prune
         }
@@ -293,38 +297,21 @@ impl Search<'_> {
 
 /// Prim MST over the tip vertex plus all unused vertices — an admissible
 /// completion bound (any Hamiltonian completion spans exactly that set).
-fn mst_over_remaining(inst: &TspInstance, used: &[bool], tip: usize) -> Weight {
-    let n = inst.n();
-    let mut in_tree = vec![false; n];
-    let mut key = vec![Weight::MAX; n];
-    let members: Vec<usize> = std::iter::once(tip)
-        .chain((0..n).filter(|&v| !used[v]))
-        .collect();
-    if members.len() <= 1 {
-        return 0;
-    }
-    key[members[0]] = 0;
+pub(crate) fn mst_over_remaining(
+    inst: &TspInstance,
+    used: &[bool],
+    tip: usize,
+    scratch: &mut PrimScratch<Weight>,
+) -> Weight {
     let mut total = 0;
-    for _ in 0..members.len() {
-        let mut pick = usize::MAX;
-        let mut pick_w = Weight::MAX;
-        for &v in &members {
-            if !in_tree[v] && key[v] < pick_w {
-                pick_w = key[v];
-                pick = v;
-            }
-        }
-        in_tree[pick] = true;
-        total += pick_w;
-        for &v in &members {
-            if !in_tree[v] {
-                let w = inst.weight(pick, v);
-                if w < key[v] {
-                    key[v] = w;
-                }
-            }
-        }
-    }
+    prim(
+        inst,
+        tip,
+        (0..inst.n()).filter(|&v| !used[v]),
+        scratch,
+        |_, _, w| w,
+        |_, _, w| total += w,
+    );
     total
 }
 

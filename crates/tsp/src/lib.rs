@@ -9,16 +9,18 @@
 //!   and *path* (free endpoints) variants;
 //! * **approximation**: Christofides for metric cycle TSP and Hoogeveen's
 //!   3/2 variant for metric path TSP ([`christofides`]), on top of a Prim
-//!   MST ([`mst`]), Hierholzer Eulerian traversal, and a minimum-weight
-//!   perfect matching toolbox ([`matching`]);
+//!   MST, Hierholzer Eulerian traversal, and a minimum-weight perfect
+//!   matching toolbox ([`matching`]);
 //! * **heuristics**: nearest-neighbor / greedy-edge construction
 //!   ([`construct`]), 2-opt and Or-opt local search with neighbor lists and
 //!   don't-look bits ([`localsearch`]), and a chained Lin–Kernighan-style
 //!   metaheuristic with double-bridge kicks ([`lk`]);
 //! * **driver**: parallel multi-start orchestration and the dummy-city
 //!   path↔cycle equivalence ([`driver`]);
-//! * **certificates**: Held–Karp 1-tree lower bounds with subgradient
-//!   ascent ([`lowerbound`]) for bounding heuristic gaps at scale.
+//! * **certificates**: the path-form Held–Karp lower bound with subgradient
+//!   ascent ([`lowerbound`]) for bounding heuristic gaps at scale;
+//! * **one Prim kernel** ([`mst`]) under the MST, branch and bound's
+//!   completion bound and every ascent iteration.
 
 // Every public item in this crate is API surface for the workspace's
 // other eight crates: undocumented exports fail the build.
@@ -37,6 +39,8 @@ pub mod localsearch;
 pub mod lowerbound;
 pub mod matching;
 pub mod mst;
+#[cfg(test)]
+mod prim_reference;
 pub mod tour;
 
 pub use instance::TspInstance;

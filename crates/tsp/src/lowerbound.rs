@@ -1,43 +1,46 @@
-//! Held–Karp **1-tree lower bound** with subgradient ascent.
+//! Held–Karp **lower bound for Path TSP** by subgradient ascent on the
+//! path form of the tree relaxation.
 //!
-//! A 1-tree (spanning tree over cities `1..n` plus the two cheapest edges
-//! at city 0) weighs no more than any Hamiltonian cycle; maximizing the
-//! bound over node potentials `π` (Held & Karp 1970) tightens it, often to
-//! within 1–2% of the optimum.
-//!
-//! **Path TSP** uses the dual in its *path* form rather than a dummy-city
-//! extension: a Hamiltonian path is a spanning tree whose two endpoints
-//! have degree 1, so for any potentials `π`
+//! A Hamiltonian path is a spanning tree whose two endpoints have degree
+//! 1, so for any node potentials `π`
 //!
 //! ```text
 //! w(P) = w^π(P) − 2·Σπ + π_s + π_t ≥ MST(w^π) − 2·Σπ + (two smallest π)
 //! ```
 //!
 //! where `w^π(u,v) = w(u,v) + π_u + π_v`. At `π = 0` this is exactly the
-//! MST bound, and the ascent only climbs from there. (The classical
-//! dummy-city reduction is *equivalent at the LP optimum* but is a much
-//! worse place to run a subgradient method: the dummy's all-zero edges
-//! let every city attach to it for free, the un-ascended 1-tree collapses
-//! toward 0, and on the two-valued reduction-shaped instances this
-//! workspace produces the ascent measurably stalls one unit short of the
-//! bound the plain MST already certifies.)
+//! MST bound, and the ascent only climbs from there (Held & Karp 1970).
+//! The classical dummy-city reduction is *equivalent at the LP optimum*
+//! but is a much worse place to run a subgradient method: the dummy's
+//! all-zero edges let every city attach to it for free, the un-ascended
+//! 1-tree collapses toward 0, and on the two-valued reduction-shaped
+//! instances this workspace produces the ascent measurably stalls one unit
+//! short of the bound the plain MST already certifies.
+//!
+//! **One Prim pass per iteration.** Each subgradient iteration evaluates
+//! `MST(w^π)` with the crate's one Prim kernel ([`crate::mst`]), priced as
+//! `(w(u,v) as f64 + π_u) + π_v` straight from the instance's `u64` rows
+//! (no `f64` copy of the matrix). The kernel relaxes and selects in one
+//! pass over the out-of-tree cities, in ascending id order with strict `<`
+//! in both comparisons, so ties go to the lowest id; an iteration at `n`
+//! cities costs `n²/2` steps plus `O(n)` for the potentials. The key,
+//! parent, degree and gradient buffers are allocated once per ascent.
 //!
 //! The ascent uses the classical step rule
 //! `t_k = α·(UB − L(π_k)) / ‖g_k‖²` with `α` halved after stretches
 //! without improvement, `UB` seeded by nearest neighbor.
 //!
 //! **Integrality rounding** — every weight in a [`TspInstance`] is an
-//! integer, so every tour weight is an integer, and a real-valued
-//! Lagrangian value `L` certifies `opt ≥ ⌈L − ε⌉`. The bounds here round
-//! *up* (with a small epsilon so floating error can never push a bound
-//! past a value it did not certify); on two-valued reduction-shaped
-//! instances this one step is frequently the difference between a bound
-//! one unit shy of the optimum and a proof.
+//! integer, so every path weight is an integer, and a real-valued
+//! Lagrangian value `L` certifies `opt ≥ ⌈L − ε⌉`. The bound rounds *up*
+//! (with a small epsilon so floating error can never push a bound past a
+//! value it did not certify); on two-valued reduction-shaped instances
+//! this one step is frequently the difference between a bound one unit shy
+//! of the optimum and a proof.
 //!
-//! **Anytime** — [`held_karp_ascent_anytime`] and
-//! [`path_lower_bound_anytime`] poll a [`Deadline`] before every
-//! subgradient iteration after the first (each iteration already pays for
-//! an `O(n²)` Prim pass, so the clock read is noise) and report how many
+//! **Anytime** — [`path_lower_bound_anytime`] polls a [`Deadline`] before
+//! every subgradient iteration after the first (each iteration already
+//! pays for a Prim pass, so the clock read is noise) and reports how many
 //! iterations actually ran. The first iteration always runs: a caller that
 //! reached the ascent at all has committed to one Prim pass, and the
 //! certificate it yields (the MST-level bound) is what every later
@@ -45,7 +48,8 @@
 //! zero clock reads, the same iteration count on every machine.
 
 use crate::construct::nearest_neighbor;
-use crate::tour::cycle_weight;
+use crate::mst::{prim, PrimScratch};
+use crate::tour::path_weight;
 use crate::{TspInstance, Weight};
 use dclab_par::Deadline;
 
@@ -61,52 +65,6 @@ pub struct AscentOutcome {
     pub iters: u64,
 }
 
-/// Plain (un-ascended) 1-tree bound for **cycle** TSP.
-///
-/// Degenerate sizes: a 2-city "cycle" traverses the single edge twice, so
-/// `n = 2` returns `2·w(0,1)` — a tight bound. For `n < 2` no cycle exists
-/// and the bound is the vacuous 0 (the convention every caller of this
-/// module relies on: degenerate instances never certify anything).
-pub fn one_tree_bound(inst: &TspInstance) -> Weight {
-    let n = inst.n();
-    if n < 3 {
-        return if n == 2 { 2 * inst.weight(0, 1) } else { 0 };
-    }
-    let pi = vec![0.0f64; n];
-    let (v, _) = one_tree_with_degrees(inst, &pi);
-    round_up_bound(v)
-}
-
-/// Held–Karp ascent: iteratively raise the 1-tree bound with subgradient
-/// steps on node potentials. `iters` ≈ 100 converges on the reduced
-/// instances this workspace produces. Deadline-free wrapper around
-/// [`held_karp_ascent_anytime`].
-pub fn held_karp_ascent_bound(inst: &TspInstance, iters: usize) -> Weight {
-    held_karp_ascent_anytime(inst, iters, &Deadline::none()).bound
-}
-
-/// [`held_karp_ascent_bound`] with a wall-clock budget: the subgradient
-/// loop checks `deadline` before every iteration after the first and stops
-/// early with the best bound certified so far. `n = 2` closes the bound in
-/// constant time (`2·w(0,1)`, see [`one_tree_bound`]).
-pub fn held_karp_ascent_anytime(
-    inst: &TspInstance,
-    iters: usize,
-    deadline: &Deadline,
-) -> AscentOutcome {
-    let n = inst.n();
-    if n < 3 {
-        let bound = if n == 2 { 2 * inst.weight(0, 1) } else { 0 };
-        return AscentOutcome { bound, iters: 0 };
-    }
-    let ub = cycle_weight(inst, &nearest_neighbor(inst, 0)) as f64;
-    ascent_loop(n, iters, deadline, ub, |pi| {
-        let (value, degrees) = one_tree_with_degrees(inst, pi);
-        let grad = degrees.iter().map(|&d| d as f64 - 2.0).collect();
-        (value, grad)
-    })
-}
-
 /// Lower bound for **path** TSP (both endpoints free): Held–Karp ascent
 /// in path form (see the module docs). Deadline-free wrapper around
 /// [`path_lower_bound_anytime`].
@@ -119,8 +77,9 @@ pub fn path_lower_bound(inst: &TspInstance, iters: usize) -> Weight {
 /// The first subgradient iteration evaluates the relaxation at `π = 0`,
 /// which is exactly the MST bound — so a single iteration already
 /// certifies at least as much as a Prim pass, and every further iteration
-/// only climbs. `n = 2` closes the bound in constant time (`w(0,1)`);
-/// `n < 2` is the vacuous 0.
+/// only climbs. The deadline is polled before every iteration *after the
+/// first*, so a [`Deadline::none`] run performs zero clock reads. `n = 2`
+/// closes the bound in constant time (`w(0,1)`); `n < 2` is the vacuous 0.
 pub fn path_lower_bound_anytime(
     inst: &TspInstance,
     iters: usize,
@@ -136,25 +95,8 @@ pub fn path_lower_bound_anytime(
             iters: 0,
         };
     }
-    let ub = crate::tour::path_weight(inst, &nearest_neighbor(inst, 0)) as f64;
-    ascent_loop(n, iters, deadline, ub, |pi| {
-        path_tree_with_subgradient(inst, pi)
-    })
-}
-
-/// The shared subgradient loop: classical Held–Karp ascent from `π = 0`.
-///
-/// `eval` returns the Lagrangian value and a supergradient at the current
-/// potentials. The deadline is polled before every iteration *after the
-/// first* (the first always runs — see the module docs), so a
-/// [`Deadline::none`] run performs zero clock reads.
-fn ascent_loop(
-    n: usize,
-    iters: usize,
-    deadline: &Deadline,
-    ub: f64,
-    eval: impl Fn(&[f64]) -> (f64, Vec<f64>),
-) -> AscentOutcome {
+    let ub = path_weight(inst, &nearest_neighbor(inst, 0)) as f64;
+    let mut form = PathForm::new(n);
     let mut pi = vec![0.0f64; n];
     let mut best = f64::NEG_INFINITY;
     let mut alpha = 2.0f64;
@@ -165,7 +107,8 @@ fn ascent_loop(
             break;
         }
         ran += 1;
-        let (value, grad) = eval(&pi);
+        let value = form.eval(inst, &pi);
+        let grad = &form.grad;
         if value > best {
             best = value;
             since_improved = 0;
@@ -178,7 +121,7 @@ fn ascent_loop(
         }
         let norm2: f64 = grad.iter().map(|g| g * g).sum();
         if norm2 < 0.5 {
-            break; // the relaxation is a feasible tour/path: bound is exact
+            break; // the relaxation is a feasible path: bound is exact
         }
         let gap = (ub - value).max(1.0);
         let step = alpha * gap / norm2;
@@ -195,11 +138,11 @@ fn ascent_loop(
     }
 }
 
-/// Integer-weight rounding of a real-valued Lagrangian bound: tour weights
+/// Integer-weight rounding of a real-valued Lagrangian bound: path weights
 /// are integers, so `opt ≥ L` implies `opt ≥ ⌈L⌉`. The epsilon keeps a
 /// floating value that is really an exact integer `K` (computed as
 /// `K + δ`, `δ` a few ulps) from unsoundly rounding to `K + 1`.
-fn round_up_bound(value: f64) -> Weight {
+pub(crate) fn round_up_bound(value: f64) -> Weight {
     if value <= 0.0 {
         0
     } else {
@@ -207,125 +150,75 @@ fn round_up_bound(value: f64) -> Weight {
     }
 }
 
-/// Path-form Lagrangian value and supergradient under potentials (see the
-/// module docs): `L(π) = MST(w^π) − 2·Σπ + (two smallest π)`, supergradient
-/// `g_v = deg_v(T) − 2 + [v is one of the two argmin-π vertices]`.
-fn path_tree_with_subgradient(inst: &TspInstance, pi: &[f64]) -> (f64, Vec<f64>) {
-    let n = inst.n();
-    debug_assert!(n >= 3);
-    let w = |u: usize, v: usize| inst.weight(u, v) as f64 + pi[u] + pi[v];
-    // Prim MST over all n cities under the priced weights.
-    let mut in_tree = vec![false; n];
-    let mut key = vec![f64::INFINITY; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut degrees = vec![0u32; n];
-    key[0] = 0.0;
-    let mut total = 0.0f64;
-    for _ in 0..n {
-        let mut pick = usize::MAX;
-        let mut pick_w = f64::INFINITY;
-        for v in 0..n {
-            if !in_tree[v] && key[v] < pick_w {
-                pick_w = key[v];
-                pick = v;
-            }
-        }
-        in_tree[pick] = true;
-        if parent[pick] != usize::MAX {
-            total += w(parent[pick], pick);
-            degrees[pick] += 1;
-            degrees[parent[pick]] += 1;
-        }
-        for v in 0..n {
-            if !in_tree[v] {
-                let cand = w(pick, v);
-                if cand < key[v] {
-                    key[v] = cand;
-                    parent[v] = pick;
-                }
-            }
-        }
-    }
-    // The two smallest potentials price the path's free endpoints
-    // (deterministic: ties go to the lowest index).
-    let (mut i1, mut i2) = (usize::MAX, usize::MAX);
-    for v in 0..n {
-        if i1 == usize::MAX || pi[v] < pi[i1] {
-            i2 = i1;
-            i1 = v;
-        } else if i2 == usize::MAX || pi[v] < pi[i2] {
-            i2 = v;
-        }
-    }
-    let sum_pi: f64 = pi.iter().sum();
-    let value = total - 2.0 * sum_pi + pi[i1] + pi[i2];
-    let mut grad: Vec<f64> = degrees.iter().map(|&d| d as f64 - 2.0).collect();
-    grad[i1] += 1.0;
-    grad[i2] += 1.0;
-    (value, grad)
+/// The path-form Lagrangian evaluation with its buffers, reused across the
+/// iterations of one ascent.
+pub(crate) struct PathForm {
+    prim: PrimScratch<f64>,
+    degrees: Vec<u32>,
+    /// The supergradient at the last evaluated potentials.
+    pub(crate) grad: Vec<f64>,
 }
 
-/// 1-tree value and degrees under potentials: `w'(u,v) = w + π_u + π_v`,
-/// value = `1tree(w') − 2·Σπ`.
-fn one_tree_with_degrees(inst: &TspInstance, pi: &[f64]) -> (f64, Vec<u32>) {
-    let n = inst.n();
-    debug_assert!(n >= 3);
-    let w = |u: usize, v: usize| inst.weight(u, v) as f64 + pi[u] + pi[v];
-    // Prim MST over 1..n.
-    let mut in_tree = vec![false; n];
-    let mut key = vec![f64::INFINITY; n];
-    let mut parent = vec![usize::MAX; n];
-    let mut degrees = vec![0u32; n];
-    in_tree[0] = true; // city 0 is the special 1-tree vertex
-    key[1] = 0.0;
-    let mut total = 0.0f64;
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut pick_w = f64::INFINITY;
-        for v in 1..n {
-            if !in_tree[v] && key[v] < pick_w {
-                pick_w = key[v];
-                pick = v;
-            }
-        }
-        in_tree[pick] = true;
-        if parent[pick] != usize::MAX {
-            total += w(parent[pick], pick);
-            degrees[pick] += 1;
-            degrees[parent[pick]] += 1;
-        }
-        for v in 1..n {
-            if !in_tree[v] {
-                let cand = w(pick, v);
-                if cand < key[v] {
-                    key[v] = cand;
-                    parent[v] = pick;
-                }
-            }
+impl PathForm {
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            prim: PrimScratch::default(),
+            degrees: vec![0; n],
+            grad: vec![0.0; n],
         }
     }
-    // Two cheapest edges at city 0.
-    let mut e1 = f64::INFINITY;
-    let mut e2 = f64::INFINITY;
-    for v in 1..n {
-        let c = w(0, v);
-        if c < e1 {
-            e2 = e1;
-            e1 = c;
-        } else if c < e2 {
-            e2 = c;
+
+    /// Path-form Lagrangian value under potentials (see the module docs):
+    /// `L(π) = MST(w^π) − 2·Σπ + (two smallest π)`. Leaves the
+    /// supergradient `g_v = deg_v(T) − 2 + [v is one of the two argmin-π
+    /// vertices]` in `self.grad`.
+    pub(crate) fn eval(&mut self, inst: &TspInstance, pi: &[f64]) -> f64 {
+        let n = inst.n();
+        debug_assert!(n >= 3);
+        let degrees = &mut self.degrees;
+        degrees.fill(0);
+        // Prim MST over all n cities under the priced weights, its total
+        // summed in the order the cities join the tree.
+        let mut total = 0.0f64;
+        prim(
+            inst,
+            0,
+            1..n,
+            &mut self.prim,
+            |u, v, w| w as f64 + pi[u] + pi[v],
+            |parent, v, w| {
+                total += w;
+                degrees[v] += 1;
+                degrees[parent] += 1;
+            },
+        );
+        // The two smallest potentials price the path's free endpoints
+        // (deterministic: ties go to the lowest index).
+        let (mut i1, mut i2) = (usize::MAX, usize::MAX);
+        for v in 0..n {
+            if i1 == usize::MAX || pi[v] < pi[i1] {
+                i2 = i1;
+                i1 = v;
+            } else if i2 == usize::MAX || pi[v] < pi[i2] {
+                i2 = v;
+            }
         }
+        let sum_pi: f64 = pi.iter().sum();
+        let value = total - 2.0 * sum_pi + pi[i1] + pi[i2];
+        for (g, &d) in self.grad.iter_mut().zip(degrees.iter()) {
+            *g = d as f64 - 2.0;
+        }
+        self.grad[i1] += 1.0;
+        self.grad[i2] += 1.0;
+        value
     }
-    total += e1 + e2;
-    degrees[0] += 2;
-    let sum_pi: f64 = pi.iter().sum();
-    (total - 2.0 * sum_pi, degrees)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{brute_force_cycle, brute_force_path, held_karp_path};
+    use crate::exact::{brute_force_path, held_karp_path};
+    use crate::mst::prim_mst;
 
     fn random_instance(n: usize, salt: u64) -> TspInstance {
         TspInstance::from_fn(n, move |u, v| {
@@ -335,22 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn one_tree_never_exceeds_cycle_optimum() {
-        for n in [4usize, 6, 8] {
-            for salt in 0..5 {
-                let t = random_instance(n, salt);
-                let (_, opt) = brute_force_cycle(&t);
-                assert!(one_tree_bound(&t) <= opt, "n={n} salt={salt}");
-                assert!(held_karp_ascent_bound(&t, 100) <= opt, "n={n} salt={salt}");
-            }
-        }
-    }
-
-    #[test]
     fn ascent_improves_or_ties_plain_bound() {
+        // The plain path-form bound is the MST (the π = 0 evaluation).
         for salt in 0..5 {
             let t = random_instance(9, salt);
-            assert!(held_karp_ascent_bound(&t, 100) >= one_tree_bound(&t));
+            assert!(path_lower_bound(&t, 100) >= prim_mst(&t).1);
         }
     }
 
@@ -383,38 +265,40 @@ mod tests {
 
     #[test]
     fn degenerate_sizes() {
-        assert_eq!(
-            path_lower_bound(&TspInstance::from_matrix(1, vec![0]), 10),
-            0
-        );
+        // n < 2 has no edge to price: the vacuous 0, with no iterations.
+        let none = AscentOutcome { bound: 0, iters: 0 };
+        let t0 = TspInstance::from_matrix(0, vec![]);
+        let t1 = TspInstance::from_matrix(1, vec![0]);
+        assert_eq!(path_lower_bound_anytime(&t0, 10, &Deadline::none()), none);
+        assert_eq!(path_lower_bound_anytime(&t1, 10, &Deadline::none()), none);
+        // n = 2: the lone edge is the only path, closed without an ascent.
         let t2 = TspInstance::from_matrix(2, vec![0, 5, 5, 0]);
-        assert_eq!(held_karp_ascent_bound(&t2, 10), 10);
+        let two = path_lower_bound_anytime(&t2, 10, &Deadline::none());
+        assert_eq!(two, AscentOutcome { bound: 5, iters: 0 });
         assert_eq!(path_lower_bound(&t2, 10), 5);
-        // n = 2 has a provable 1-tree bound: the cycle uses the lone edge
-        // twice. n < 2 stays at the vacuous 0.
-        assert_eq!(one_tree_bound(&t2), 10);
-        assert_eq!(one_tree_bound(&TspInstance::from_matrix(1, vec![0])), 0);
-        assert_eq!(one_tree_bound(&TspInstance::from_matrix(0, vec![])), 0);
+        // n = 3 is the smallest instance that runs the ascent.
+        let t3 = TspInstance::from_matrix(3, vec![0, 1, 4, 1, 0, 2, 4, 2, 0]);
+        let three = path_lower_bound_anytime(&t3, 10, &Deadline::none());
+        assert_eq!(three.bound, 3);
+        assert!(three.iters >= 1);
     }
 
     #[test]
     fn anytime_reports_iterations_and_respects_cancellation() {
         let t = random_instance(10, 3);
-        let full = held_karp_ascent_anytime(&t, 40, &Deadline::none());
+        let full = path_lower_bound_anytime(&t, 40, &Deadline::none());
         assert!(full.iters >= 1 && full.iters <= 40);
         // Deterministic: the deadline-free loop runs the same count again.
-        assert_eq!(held_karp_ascent_anytime(&t, 40, &Deadline::none()), full);
+        assert_eq!(path_lower_bound_anytime(&t, 40, &Deadline::none()), full);
         // A pre-cancelled deadline still runs the first iteration (the
         // caller committed to one Prim pass), then stops: the result is the
-        // un-ascended bound, never the vacuous 0.
+        // un-ascended MST bound, never the vacuous 0.
         let token = dclab_par::CancelToken::new();
         token.cancel();
         let dl = Deadline::none().with_token(token);
-        let cancelled = held_karp_ascent_anytime(&t, 40, &dl);
+        let cancelled = path_lower_bound_anytime(&t, 40, &dl);
         assert_eq!(cancelled.iters, 1);
-        assert_eq!(cancelled.bound, one_tree_bound(&t));
-        let path_cancelled = path_lower_bound_anytime(&t, 40, &dl);
-        assert_eq!(path_cancelled.iters, 1);
-        assert!(path_cancelled.bound > 0);
+        assert_eq!(cancelled.bound, prim_mst(&t).1);
+        assert!(cancelled.bound > 0);
     }
 }

@@ -1,46 +1,132 @@
-//! Minimum spanning tree on dense instances (Prim, `O(n²)`).
+//! Minimum spanning trees on dense instances: one Prim kernel (`prim`)
+//! under every tree in the crate.
+//!
+//! The kernel keeps the vertices outside the tree in ascending id order,
+//! with each one's key (cheapest known edge into the tree) and parent
+//! stored beside it. One pass over that list relaxes every key from the
+//! vertex just added and selects the next vertex at the same time, so a
+//! spanning tree over `m` vertices costs `m − 1` passes over a list that
+//! shrinks by one each time: `m²/2` steps, each a read of the added
+//! vertex's `u64` weight row, a priced weight, and two comparisons. Both
+//! comparisons are strict `<`, so a relaxation keeps the earlier parent on
+//! a tie and the selection keeps the lowest id on a tie. The selected
+//! vertex leaves the list by a shift of the entries after it, which keeps
+//! the order.
+//!
+//! Three callers price the weights their own way and see the same tree:
+//! [`prim_mst`] (raw weights, for Christofides), the Held–Karp path-form
+//! ascent in [`crate::lowerbound`] (`w + π_u + π_v` in `f64`, once per
+//! subgradient iteration) and branch and bound's completion bound over the
+//! unvisited cities. A `PrimScratch` holds the buffers, so callers that
+//! run the kernel repeatedly allocate once.
 
 use crate::{TspInstance, Weight};
 
+/// A key type the kernel can order: an infinity that no priced weight
+/// reaches, below which every real key sorts.
+pub(crate) trait PrimKey: Copy + PartialOrd {
+    /// The key of a vertex with no known edge into the tree.
+    const INFINITY: Self;
+}
+
+impl PrimKey for Weight {
+    const INFINITY: Self = Weight::MAX;
+}
+
+impl PrimKey for f64 {
+    const INFINITY: Self = f64::INFINITY;
+}
+
+/// An out-of-tree vertex with its key and the tree vertex that key
+/// reaches.
+#[derive(Clone, Copy)]
+struct Slot<K> {
+    key: K,
+    v: u32,
+    parent: u32,
+}
+
+/// Reusable buffers for [`prim`]: the out-of-tree vertices in ascending id
+/// order, each with its key and parent.
+pub(crate) struct PrimScratch<K> {
+    slots: Vec<Slot<K>>,
+}
+
+impl<K> Default for PrimScratch<K> {
+    fn default() -> Self {
+        Self { slots: Vec::new() }
+    }
+}
+
+/// Prim's algorithm from `root` over `root` plus `members`, which must be
+/// ascending ids other than `root`.
+///
+/// `price(u, v, w)` gives the key of edge `{u, v}` of raw weight
+/// `w = inst.weight(u, v)`, with `u` the vertex just added to the tree.
+/// `visit(parent, v, key)` is called once per vertex other than `root`,
+/// in the order the vertices join the tree, with the tree edge
+/// `{parent, v}` and its key. Ties resolve as described in the module
+/// docs.
+pub(crate) fn prim<K: PrimKey>(
+    inst: &TspInstance,
+    root: usize,
+    members: impl IntoIterator<Item = usize>,
+    scratch: &mut PrimScratch<K>,
+    price: impl Fn(usize, usize, Weight) -> K,
+    mut visit: impl FnMut(usize, usize, K),
+) {
+    let slots = &mut scratch.slots;
+    slots.clear();
+    slots.extend(members.into_iter().map(|v| Slot {
+        key: K::INFINITY,
+        v: v as u32,
+        parent: root as u32,
+    }));
+    debug_assert!(slots.windows(2).all(|w| w[0].v < w[1].v));
+    debug_assert!(slots.iter().all(|s| s.v as usize != root));
+    let mut last = root;
+    while !slots.is_empty() {
+        let row = inst.row(last);
+        let mut best = K::INFINITY;
+        let mut pick = usize::MAX;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            let v = slot.v as usize;
+            let cand = price(last, v, row[v]);
+            if cand < slot.key {
+                slot.key = cand;
+                slot.parent = last as u32;
+            }
+            if slot.key < best {
+                best = slot.key;
+                pick = i;
+            }
+        }
+        let joined = slots.remove(pick);
+        visit(joined.parent as usize, joined.v as usize, joined.key);
+        last = joined.v as usize;
+    }
+}
+
 /// Edges `(u, v)` of a minimum spanning tree of the complete graph described
-/// by `inst`, plus the total weight. `n-1` edges for `n ≥ 1`.
+/// by `inst`, in the order Prim adds them from city 0, plus the total
+/// weight. `n-1` edges for `n ≥ 1`.
 pub fn prim_mst(inst: &TspInstance) -> (Vec<(u32, u32)>, Weight) {
     let n = inst.n();
-    if n == 0 {
-        return (vec![], 0);
-    }
-    let mut in_tree = vec![false; n];
-    let mut best_w = vec![Weight::MAX; n];
-    let mut best_to = vec![0u32; n];
     let mut edges = Vec::with_capacity(n.saturating_sub(1));
     let mut total = 0;
-    in_tree[0] = true;
-    for v in 1..n {
-        best_w[v] = inst.weight(0, v);
-        best_to[v] = 0;
-    }
-    for _ in 1..n {
-        let mut pick = usize::MAX;
-        let mut pick_w = Weight::MAX;
-        for v in 0..n {
-            if !in_tree[v] && best_w[v] < pick_w {
-                pick_w = best_w[v];
-                pick = v;
-            }
-        }
-        debug_assert_ne!(pick, usize::MAX);
-        in_tree[pick] = true;
-        edges.push((best_to[pick], pick as u32));
-        total += pick_w;
-        for v in 0..n {
-            if !in_tree[v] {
-                let w = inst.weight(pick, v);
-                if w < best_w[v] {
-                    best_w[v] = w;
-                    best_to[v] = pick as u32;
-                }
-            }
-        }
+    if n > 0 {
+        let mut scratch = PrimScratch::default();
+        prim(
+            inst,
+            0,
+            1..n,
+            &mut scratch,
+            |_, _, w| w,
+            |parent, v, w| {
+                edges.push((parent as u32, v as u32));
+                total += w;
+            },
+        );
     }
     (edges, total)
 }

@@ -20,13 +20,23 @@
 //! the first 64 hubs are seeded in one call to the bit-parallel
 //! [`bfs64_distances_csr`] kernel (exact rows, label insertion still
 //! pruned), the tail runs pruned BFS per hub — a vertex whose current
-//! labels already answer `query(hub, v) ≤ d` is neither labeled nor
-//! expanded, which is what keeps both the labels and the build subquadratic
-//! on hub-dominated graphs.
+//! labels already answer `d(hub, v) ≤ d` is neither labeled nor expanded,
+//! which is what keeps both the labels and the build subquadratic on
+//! hub-dominated graphs. Each prune test is the standard PLL one: before a
+//! root's pass, its label is scattered into an array indexed by hub rank
+//! (a far sentinel elsewhere, cleared after the root), so testing `v` is
+//! one early-exit pass over `v`'s label rather than a merge of two. Within
+//! one hop the test is `O(1)`, `dist[rank(v)] ≤ d`: a covering term
+//! `d(root, h) + d(h, v) ≤ 1` needs a zero summand, `v`'s label does not
+//! hold the root's rank before the root's pass labels `v`, and a processed
+//! vertex's only distance-0 entry is its own `(rank(v), 0)`.
 //!
 //! Everything is single-threaded and deterministic: the same graph always
 //! produces byte-identical labels, so solves that consume oracle distances
-//! stay bit-reproducible across thread counts.
+//! stay bit-reproducible across thread counts. The labels are the same
+//! bytes a merge-pruned build produces; a differential test holds the
+//! build to that reference, and `tests/label_digests.rs` pins the labels
+//! of graphs at benchmark shape.
 //!
 //! Unreachable pairs answer [`INF`] — the same sentinel the dense
 //! [`DistanceMatrix`] path uses — and `query(u, u) == 0`, both pinned by
@@ -109,33 +119,50 @@ fn query_slices(ha: &[u32], da: &[u16], hb: &[u32], db: &[u16]) -> u32 {
     best
 }
 
-/// Growing per-vertex labels used during construction (flattened to CSR at
-/// the end). Ranks arrive in ascending order, so each list stays sorted.
-struct Builder {
-    labels: Vec<Vec<(u32, u16)>>,
+/// Far sentinel for the ranks a scattered root label does not hold: adding
+/// any `u16` distance to it cannot wrap, and every sum stays above
+/// [`MAX_DISTANCE`], so an absent hub never covers a vertex.
+const FAR: u32 = u32::MAX - u16::MAX as u32;
+
+/// The current root's label scattered by hub rank: `dist[h]` is the
+/// root's distance to the hub of rank `h` when the root's label holds `h`,
+/// [`FAR`] elsewhere. Scattered before each root and cleared after it, it
+/// turns each prune test into one early-exit pass over the visited
+/// vertex's label instead of a sorted merge of two labels.
+struct RootLabel {
+    dist: Vec<u32>,
 }
 
-impl Builder {
-    fn query(&self, u: usize, v: usize) -> u32 {
-        let a = &self.labels[u];
-        let b = &self.labels[v];
-        let mut best = INF;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let d = a[i].1 as u32 + b[j].1 as u32;
-                    if d < best {
-                        best = d;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
+impl RootLabel {
+    fn scatter(&mut self, label: &[(u32, u16)]) {
+        for &(h, d) in label {
+            self.dist[h as usize] = d as u32;
         }
-        best
+    }
+
+    fn clear(&mut self, label: &[(u32, u16)]) {
+        for &(h, _) in label {
+            self.dist[h as usize] = FAR;
+        }
+    }
+
+    /// Whether the labels built so far already answer `d(root, v) ≤ d` for
+    /// the vertex `v` of hub rank `rank` and label `label`: some common hub
+    /// `h` has `d(root, h) + d(h, v) ≤ d`.
+    ///
+    /// Within one hop no pass is needed. A covering term `≤ 1` has a zero
+    /// summand. It is not `d(root, h)`: `v` is tested before the root's
+    /// pass labels it, so its label does not hold the root's rank. So the
+    /// hub is `v` itself, whose only distance-0 entry is its own
+    /// `(rank(v), 0)`, and the term is `dist[rank(v)]`.
+    #[inline]
+    fn covers(&self, rank: u32, label: &[(u32, u16)], d: u32) -> bool {
+        if d <= 1 {
+            return self.dist[rank as usize] <= d;
+        }
+        label
+            .iter()
+            .any(|&(h, dh)| self.dist[h as usize] + dh as u32 <= d)
     }
 }
 
@@ -157,9 +184,15 @@ impl HubLabels {
         let mut order: Vec<u32> = (0..n as u32).collect();
         order.sort_by_key(|&v| (usize::MAX - csr.degree(v as usize), v));
 
-        let mut b = Builder {
-            labels: vec![Vec::new(); n],
-        };
+        let mut rank = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
+
+        // Growing per-vertex labels, flattened to CSR at the end. Ranks
+        // arrive in ascending order, so each list stays sorted.
+        let mut labels: Vec<Vec<(u32, u16)>> = vec![Vec::new(); n];
+        let mut root = RootLabel { dist: vec![FAR; n] };
 
         // Phase 1: bit-parallel seeding. One bfs64 call yields exact rows
         // for the first 64 hubs; insertion is still pruned against the
@@ -172,6 +205,7 @@ impl HubLabels {
             let mut rows = vec![0u32; batch * n];
             bfs64_distances_csr(csr, &sources, &mut rows);
             for (i, &hub) in sources.iter().enumerate() {
+                root.scatter(&labels[hub]);
                 let row = &rows[i * n..(i + 1) * n];
                 for (v, &d) in row.iter().enumerate() {
                     if d == INF {
@@ -180,11 +214,12 @@ impl HubLabels {
                     if d > MAX_DISTANCE {
                         return Err(OracleError::DistanceOverflow { distance: d });
                     }
-                    if b.query(hub, v) <= d {
+                    if root.covers(rank[v], &labels[v], d) {
                         continue;
                     }
-                    b.labels[v].push((i as u32, d as u16));
+                    labels[v].push((i as u32, d as u16));
                 }
+                root.clear(&labels[hub]);
             }
         }
 
@@ -198,6 +233,7 @@ impl HubLabels {
         let mut touched: Vec<u32> = Vec::new();
         for (r, &hub) in order.iter().enumerate().skip(batch) {
             let hub = hub as usize;
+            root.scatter(&labels[hub]);
             dist[hub] = 0;
             frontier.clear();
             frontier.push(hub as u32);
@@ -211,10 +247,10 @@ impl HubLabels {
                 next.clear();
                 for &v in &frontier {
                     let v = v as usize;
-                    if b.query(hub, v) <= d {
+                    if root.covers(rank[v], &labels[v], d) {
                         continue; // prune: no label, no expansion
                     }
-                    b.labels[v].push((r as u32, d as u16));
+                    labels[v].push((r as u32, d as u16));
                     for &w in csr.neighbors(v) {
                         if dist[w as usize] == INF {
                             dist[w as usize] = d + 1;
@@ -229,10 +265,11 @@ impl HubLabels {
             for &v in &touched {
                 dist[v as usize] = INF;
             }
+            root.clear(&labels[hub]);
         }
 
         // Flatten to CSR storage.
-        let total: usize = b.labels.iter().map(Vec::len).sum();
+        let total: usize = labels.iter().map(Vec::len).sum();
         if total > u32::MAX as usize {
             return Err(OracleError::TooManyEntries);
         }
@@ -240,7 +277,7 @@ impl HubLabels {
         let mut hubs = Vec::with_capacity(total);
         let mut dists = Vec::with_capacity(total);
         offsets.push(0u32);
-        for label in &b.labels {
+        for label in &labels {
             for &(h, d) in label {
                 hubs.push(h);
                 dists.push(d);
@@ -403,6 +440,9 @@ pub fn dense_matrix_bytes(n: usize) -> u64 {
 pub fn dense_pipeline_bytes(n: usize) -> u64 {
     (n as u64) * (n as u64) * 12
 }
+
+#[cfg(test)]
+mod build_reference;
 
 #[cfg(test)]
 mod tests {

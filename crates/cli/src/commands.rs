@@ -56,7 +56,7 @@ SOLVE/BATCH FLAGS:
                         dense pipeline would cross the 1 GiB memory wall)
   --format <fmt>        edgelist | dimacs (default: guess from extension)
   --node-budget <N>     branch-and-bound node budget
-  --restarts <N>        chained-LK restarts
+  --restarts <N>        chained-LK restarts (default 4, at most 256)
   --deadline-ms <N>     wall-clock budget: every route becomes anytime and
                         returns its best incumbent when the clock fires
                         (report carries \"timed_out\":true). Without it,

@@ -1,43 +1,6 @@
-//! Greedy and DSATUR coloring heuristics.
+//! The DSATUR coloring heuristic.
 
 use dclab_graph::Graph;
-
-/// First-fit greedy coloring in the given vertex order (identity when
-/// `order` is `None`). Uses at most `Δ + 1` colors.
-pub fn greedy_coloring(g: &Graph, order: Option<&[usize]>) -> Vec<u32> {
-    let n = g.n();
-    let identity: Vec<usize>;
-    let order = match order {
-        Some(o) => o,
-        None => {
-            identity = (0..n).collect();
-            &identity
-        }
-    };
-    assert_eq!(order.len(), n);
-    let mut colors = vec![u32::MAX; n];
-    let mut used = vec![false; n + 1];
-    for &v in order {
-        for &u in g.neighbors(v) {
-            let c = colors[u as usize];
-            if c != u32::MAX {
-                used[c as usize] = true;
-            }
-        }
-        let mut c = 0;
-        while used[c] {
-            c += 1;
-        }
-        colors[v] = c as u32;
-        for &u in g.neighbors(v) {
-            let cu = colors[u as usize];
-            if cu != u32::MAX {
-                used[cu as usize] = false;
-            }
-        }
-    }
-    colors
-}
 
 /// DSATUR: repeatedly color the vertex of maximum color-saturation
 /// (ties by degree, then index). Exact on bipartite graphs; a strong
@@ -78,7 +41,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..10 {
             let g = random::gnp(&mut rng, 30, 0.3);
-            let c = greedy_coloring(&g, None);
+            let c = dsatur_coloring(&g);
             assert!(is_proper_coloring(&g, &c));
             assert!(color_count(&c) <= g.max_degree() + 1);
         }
@@ -99,23 +62,12 @@ mod tests {
     #[test]
     fn complete_graph_needs_n() {
         let g = classic::complete(6);
-        assert_eq!(color_count(&greedy_coloring(&g, None)), 6);
         assert_eq!(color_count(&dsatur_coloring(&g)), 6);
-    }
-
-    #[test]
-    fn custom_order_respected() {
-        let g = classic::path(3);
-        // Coloring 1 then 0 then 2 gives 0 color 1.
-        let c = greedy_coloring(&g, Some(&[1, 0, 2]));
-        assert!(is_proper_coloring(&g, &c));
-        assert_eq!(c[1], 0);
     }
 
     #[test]
     fn empty_graph_ok() {
         let g = Graph::new(0);
-        assert!(greedy_coloring(&g, None).is_empty());
         assert!(dsatur_coloring(&g).is_empty());
     }
 }

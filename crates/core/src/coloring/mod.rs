@@ -1,8 +1,8 @@
 //! Graph coloring substrate for the `L(1,…,1)` route (Theorem 4).
 //!
 //! `L(1^k)`-labeling of `G` is exactly proper coloring of `G^k`
-//! (span = χ − 1), so this module provides: greedy and DSATUR heuristics,
-//! an exact branch-and-bound chromatic number, and the
+//! (span = χ − 1), so this module provides: the DSATUR heuristic, an
+//! exact branch-and-bound chromatic number, and the
 //! neighborhood-diversity FPT algorithm of [`nd_fpt`].
 
 pub mod exact;
@@ -10,7 +10,7 @@ pub mod greedy;
 pub mod nd_fpt;
 
 pub use exact::chromatic_number_exact;
-pub use greedy::{dsatur_coloring, greedy_coloring};
+pub use greedy::dsatur_coloring;
 pub use nd_fpt::chromatic_number_nd;
 
 use dclab_graph::Graph;

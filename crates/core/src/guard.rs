@@ -8,6 +8,11 @@
 /// Maximum `n` accepted by the Held–Karp exact route (`O(2^n·n)` memory).
 pub const EXACT_MAX_N: usize = 24;
 
+/// Maximum chained-LK restarts one request may ask for (the default is 4).
+/// The multi-start heuristic allocates a result slot per restart before
+/// running any.
+pub const MAX_RESTARTS: usize = 256;
+
 /// Default branch-and-bound node budget used when a caller does not supply
 /// one (e.g. `Strategy::Auto`): large enough to close benign diameter-2
 /// instances well past [`EXACT_MAX_N`], small enough to fail fast on
@@ -30,6 +35,13 @@ pub enum GuardError {
         /// The node budget that ran out.
         node_budget: u64,
     },
+    /// More chained-LK restarts requested than [`MAX_RESTARTS`].
+    TooManyRestarts {
+        /// Requested restarts.
+        restarts: usize,
+        /// The guard's maximum.
+        max: usize,
+    },
 }
 
 impl std::fmt::Display for GuardError {
@@ -40,6 +52,9 @@ impl std::fmt::Display for GuardError {
             }
             GuardError::BudgetExhausted { node_budget } => {
                 write!(f, "branch-and-bound node budget ({node_budget}) exhausted")
+            }
+            GuardError::TooManyRestarts { restarts, max } => {
+                write!(f, "restarts = {restarts} exceeds the restart guard ({max})")
             }
         }
     }
@@ -57,6 +72,15 @@ pub fn check_exact_size(n: usize) -> Result<(), GuardError> {
     } else {
         Ok(())
     }
+}
+
+/// Check a requested restart count against [`MAX_RESTARTS`].
+pub fn check_restarts(restarts: usize) -> Result<(), GuardError> {
+    let max = MAX_RESTARTS;
+    if restarts > max {
+        return Err(GuardError::TooManyRestarts { restarts, max });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@
 //! `L(1^k)`-labeling by `p_max` gives an `L(p)`-labeling within a factor
 //! `p_max` of optimal (Corollary 3).
 
-use crate::coloring::{
-    chromatic_number_exact, chromatic_number_nd, dsatur_coloring, greedy_coloring,
-};
+use crate::coloring::{chromatic_number_exact, chromatic_number_nd, dsatur_coloring};
 use crate::labeling::Labeling;
 use crate::pvec::PVec;
 use crate::routes::Solution;
@@ -20,9 +18,7 @@ use dclab_graph::Graph;
 /// Which coloring engine to use on `G^k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum L1Engine {
-    /// Greedy first-fit (fast upper bound).
-    Greedy,
-    /// DSATUR (stronger upper bound).
+    /// DSATUR (heuristic upper bound).
     Dsatur,
     /// Exact branch and bound.
     Exact,
@@ -39,7 +35,6 @@ pub fn solve_l1(g: &Graph, k: usize, engine: L1Engine) -> (Labeling, u64) {
     }
     let gk = power(g, k as u32);
     let colors: Vec<u32> = match engine {
-        L1Engine::Greedy => greedy_coloring(&gk, None),
         L1Engine::Dsatur => dsatur_coloring(&gk),
         L1Engine::Exact => {
             let chi = chromatic_number_exact(&gk);
@@ -146,10 +141,8 @@ mod tests {
             let (_, exact) = solve_l1(&g, 2, L1Engine::Exact);
             let (_, nd) = solve_l1(&g, 2, L1Engine::NdFpt);
             let (_, dsatur) = solve_l1(&g, 2, L1Engine::Dsatur);
-            let (_, greedy) = solve_l1(&g, 2, L1Engine::Greedy);
             assert_eq!(exact, nd);
             assert!(dsatur >= exact);
-            assert!(greedy >= exact);
         }
     }
 

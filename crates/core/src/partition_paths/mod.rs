@@ -5,14 +5,12 @@
 //! `p ≤ q`, on `Ḡ` when `p > q`). Three solvers:
 //!
 //! * [`exact_path_partition`] — subset DP, `O(2^n n²)`, exact for `n ≤ 20`;
-//! * [`greedy_path_partition`] — linear-time walk-stripping upper bound;
-//! * [`matching_heuristic`] — maximum-matching-seeded upper bound plus the
-//!   `pc(G) ≥ n − 2ν(G)` lower bound;
+//! * [`greedy_path_partition`] — linear-time walk-stripping upper bound
+//!   (the witness for cographs past the subset DP);
 //! * [`cograph`] — polynomial cotree DP, exact on cographs (the bounded
 //!   modular-width family realising the FPT claim's shape).
 
 pub mod cograph;
-pub mod matching_heuristic;
 
 use dclab_graph::Graph;
 

@@ -22,7 +22,7 @@ use dclab_core::bounds::{
 };
 use dclab_core::diam2::{solve_diam2_lpq_with_witness, Diam2Error, PipSolver};
 use dclab_core::distance::DistanceSource;
-use dclab_core::guard::{check_exact_size, GuardError, EXACT_MAX_N};
+use dclab_core::guard::{check_exact_size, check_restarts, GuardError, EXACT_MAX_N};
 use dclab_core::l1::{solve_pmax_approx, L1Engine};
 use dclab_core::labeling::Labeling;
 use dclab_core::oracle_route::oracle_path_route;
@@ -232,7 +232,13 @@ impl<'a> Ctx<'a> {
 /// (the default) this wrapper is a single thread-local read and the report
 /// is bit-identical to a pre-trace build — timings never enter
 /// deterministic output.
+///
+/// A request for more restarts than [`dclab_core::guard::MAX_RESTARTS`] is
+/// refused with a guard error before any work, whatever its strategy.
 pub fn solve(req: &SolveRequest) -> Result<SolveReport, EngineError> {
+    if let Some(restarts) = req.budget.restarts {
+        check_restarts(restarts)?;
+    }
     let trace = dclab_trace::current();
     if !trace.is_enabled() {
         return solve_impl(req);
@@ -1348,6 +1354,8 @@ mod tests {
 
     /// A cancelled heuristic solve is never worse than its construction
     /// heuristic (the satellite's cancellation property, at engine level).
+    /// Once the deadline has fired no restart after the first starts, so
+    /// the expired 64-restart solve runs exactly one chained LK.
     #[test]
     fn cancelled_heuristic_no_worse_than_construction() {
         let g = diam2_instance(64, 11);
@@ -1368,16 +1376,23 @@ mod tests {
         let req = SolveRequest::new(g.clone(), p.clone())
             .with_strategy(Strategy::Heuristic)
             .with_budget(Budget {
+                restarts: Some(64),
                 deadline_ms: Some(0),
                 ..Budget::default()
             });
-        let report = solve(&req).expect("harvest");
+        let trace = dclab_trace::Trace::enabled();
+        let report = {
+            let _g = trace.install();
+            solve(&req).expect("harvest")
+        };
         assert!(
             report.solution.span <= floor.span,
             "cancelled solve ({}) worse than construction ({})",
             report.solution.span,
             floor.span
         );
+        let lk = report.stats.phases.iter().find(|p| p.name == "lk");
+        assert_eq!(lk.map(|p| p.calls), Some(1), "{:?}", report.stats.phases);
     }
 
     /// The one-build contract: an oracle-routed solve builds exactly one

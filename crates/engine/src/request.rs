@@ -208,7 +208,8 @@ impl std::str::FromStr for OraclePolicy {
 pub struct Budget {
     /// Branch-and-bound node budget (`None` → [`DEFAULT_NODE_BUDGET`]).
     pub node_budget: Option<u64>,
-    /// Chained-LK restarts (`None` → the driver default).
+    /// Chained-LK restarts (`None` → 4; more than
+    /// [`dclab_core::guard::MAX_RESTARTS`] is a guard error).
     pub restarts: Option<usize>,
     /// Held–Karp ascent iterations for the lower-bound certificate
     /// (`None` → 50; `Some(0)` skips the ascent).

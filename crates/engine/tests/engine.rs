@@ -340,6 +340,24 @@ fn guard_errors_flow_through_single_error_type() {
 }
 
 #[test]
+fn restarts_past_the_guard_are_refused() {
+    use dclab_core::guard::{GuardError, MAX_RESTARTS};
+    let solve_with = |restarts| {
+        let budget = Budget {
+            restarts: Some(restarts),
+            ..Budget::default()
+        };
+        let req = SolveRequest::new(classic::petersen(), PVec::l21());
+        solve(&req.with_strategy(Strategy::Heuristic).with_budget(budget))
+    };
+    let accepted = solve_with(MAX_RESTARTS).expect("the guard's maximum is accepted");
+    assert_eq!(accepted.solution.span, 9);
+    let (restarts, max) = (MAX_RESTARTS + 1, MAX_RESTARTS);
+    let refused = GuardError::TooManyRestarts { restarts, max };
+    assert_eq!(solve_with(restarts), Err(EngineError::Guard(refused)));
+}
+
+#[test]
 fn trivial_instances() {
     for n in [0usize, 1] {
         let report = solve(&SolveRequest::new(Graph::new(n), PVec::l21())).unwrap();

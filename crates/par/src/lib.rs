@@ -137,56 +137,6 @@ where
     })
 }
 
-/// Parallel reduction: map each index through `f` and fold results with
-/// `reduce`, starting from `identity`. The reduction order is unspecified, so
-/// `reduce` must be commutative and associative (min/max/sum of spans etc.).
-pub fn par_reduce<U, F, R>(n: usize, identity: U, f: F, reduce: R) -> U
-where
-    U: Send + Clone,
-    F: Fn(usize) -> U + Sync,
-    R: Fn(U, U) -> U + Sync + Send,
-{
-    let threads = default_threads().min(n.max(1));
-    if threads <= 1 || n < 2 {
-        return (0..n).map(f).fold(identity, &reduce);
-    }
-    let next = AtomicUsize::new(0);
-    let best = Mutex::new(identity.clone());
-    let trace_ctx = dclab_trace::FanoutCtx::capture();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            let mut acc = identity.clone();
-            let (next, best, f, reduce, trace_ctx) = (&next, &best, &f, &reduce, &trace_ctx);
-            s.spawn(move |_| {
-                let _trace = trace_ctx.is_enabled().then(|| trace_ctx.install());
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    acc = reduce(acc, f(i));
-                }
-                let mut guard = best.lock();
-                let cur = guard.clone();
-                *guard = reduce(cur, acc);
-            });
-        }
-    })
-    .expect("dclab-par worker panicked");
-    best.into_inner()
-}
-
-/// Run `n` independent jobs for their side effects (e.g. filling disjoint
-/// rows of a shared matrix through interior mutability owned by the caller).
-pub fn par_for<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let _ = par_map_indexed(n, |i| {
-        f(i);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,28 +172,6 @@ mod tests {
         assert_eq!(par_map_chunks(128, 64, |r| r.len()), vec![64, 64]);
         assert!(par_map_chunks(0, 64, |r| r).is_empty());
         assert_eq!(par_map_chunks(3, 0, |r| r), vec![0..1, 1..2, 2..3]);
-    }
-
-    #[test]
-    fn par_reduce_min() {
-        let m = par_reduce(1000, usize::MAX, |i| (i * 7919) % 1000, |a, b| a.min(b));
-        assert_eq!(m, 0);
-    }
-
-    #[test]
-    fn par_reduce_sum_matches() {
-        let s = par_reduce(500, 0u64, |i| i as u64, |a, b| a + b);
-        assert_eq!(s, 499 * 500 / 2);
-    }
-
-    #[test]
-    fn par_for_fills_disjoint_slots() {
-        use std::sync::atomic::AtomicU32;
-        let slots: Vec<AtomicU32> = (0..300).map(|_| AtomicU32::new(0)).collect();
-        par_for(300, |i| slots[i].store(i as u32 + 1, Ordering::Relaxed));
-        for (i, s) in slots.iter().enumerate() {
-            assert_eq!(s.load(Ordering::Relaxed), i as u32 + 1);
-        }
     }
 
     #[test]

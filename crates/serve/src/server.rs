@@ -380,6 +380,10 @@ pub(crate) type Response = (u16, Vec<(&'static str, String)>, String);
 /// shutdown, 404/405 — is answered inline on the reactor thread so
 /// observability stays live while the pool is saturated.
 pub(crate) fn needs_worker(req: &Request) -> bool {
+    #[cfg(test)]
+    if req.path == tests::HOLD_PATH {
+        return true;
+    }
     matches!(
         (req.method.as_str(), req.path.as_str()),
         ("POST", "/solve") | ("POST", "/batch")
@@ -389,6 +393,14 @@ pub(crate) fn needs_worker(req: &Request) -> bool {
 // `requests_total` is bumped by `record_status` in every answer path
 // (routed, parse failure, overload shed), so totals always reconcile.
 pub(crate) fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
+    #[cfg(test)]
+    if req.path == tests::HOLD_PATH {
+        // Hold this worker until the test releases the gate.
+        if let Some(rx) = tests::HOLD.lock().expect("hold gate").as_ref() {
+            let _ = rx.recv();
+        }
+        return (200, vec![], String::new());
+    }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             ctx.metrics.health_requests.fetch_add(1, Ordering::Relaxed);
@@ -856,6 +868,12 @@ fn split_batch(body: &str) -> Vec<&str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::Receiver;
+
+    /// A worker route for this crate's tests: a request to it holds its
+    /// worker until the sender of the channel behind [`HOLD`] is dropped.
+    pub(super) const HOLD_PATH: &str = "/test/hold";
+    pub(super) static HOLD: Mutex<Option<Receiver<()>>> = Mutex::new(None);
 
     #[test]
     fn batch_splitting() {
@@ -909,6 +927,81 @@ mod tests {
         assert!(request_id(&req(vec![("x-request-id", &long)])).starts_with("req-"));
         // Generated ids are unique.
         assert_ne!(generate_request_id(), generate_request_id());
+    }
+
+    /// Admin endpoints stay responsive while every worker is busy and the
+    /// queue is full — they run on the reactor thread, never the pool.
+    /// The hold route keeps the pool saturated until the test releases it.
+    #[test]
+    fn metrics_and_debug_respond_while_workers_are_saturated() {
+        use crate::loadgen::Client;
+        use std::time::Duration;
+
+        let (release, gate) = std::sync::mpsc::channel();
+        *HOLD.lock().unwrap() = Some(gate);
+        let handle = start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            cache_mb: 8,
+            queue_cap: 1,
+            ..Default::default()
+        })
+        .expect("bind ephemeral port");
+        let addr = handle.addr();
+
+        // Two held requests: one occupies the single worker, the other
+        // fills the queue.
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    Client::new(addr).request("POST", HOLD_PATH, "").unwrap()
+                })
+            })
+            .collect();
+        let gauges = [
+            &handle.ctx().metrics.pool_in_flight,
+            &handle.ctx().metrics.pool_queue_depth,
+        ];
+        let load = || gauges.map(|g| g.load(Ordering::Relaxed));
+        let started = Instant::now();
+        while load() != [1, 1] && started.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(load(), [1, 1], "one hold runs, the other is queued");
+
+        // Worker busy + queue full: admin endpoints must still answer fast.
+        let mut client = Client::new(addr);
+        for target in ["/healthz", "/metrics", "/debug/slowlog", "/debug/traces"] {
+            let started = Instant::now();
+            let resp = client.request("GET", target, "").unwrap();
+            assert_eq!(resp.status, 200, "{target}: {}", resp.body);
+            assert!(
+                started.elapsed() < Duration::from_millis(500),
+                "{target} took {:?} under saturation",
+                started.elapsed()
+            );
+        }
+
+        // A solve is shed with 503 + Retry-After — and the shed happens
+        // without blocking and keeps the connection usable.
+        let body = graph_io::write_edge_list(&dclab_graph::generators::classic::petersen());
+        let shed = client
+            .request("POST", "/solve?p=2,1&strategy=race&deadline-ms=1500", &body)
+            .unwrap();
+        assert_eq!(shed.status, 503, "{}", shed.body);
+        assert_eq!(shed.header("retry-after"), Some("1"));
+        assert!(shed.body.contains("\"kind\":\"overload\""), "{}", shed.body);
+        let after = client.request("GET", "/healthz", "").unwrap();
+        assert_eq!(after.status, 200, "connection survives a shed");
+
+        drop(release);
+        for j in holders {
+            let resp = j.join().unwrap();
+            assert_eq!(resp.status, 200, "{}", resp.body);
+        }
+        let _ = client.request("POST", "/shutdown", "");
+        drop(client);
+        handle.join();
     }
 
     #[test]

@@ -121,6 +121,29 @@ fn guard_failure_returns_422_with_json_error() {
     stop(handle, client);
 }
 
+/// A restart count past the guard is refused before the heuristic
+/// allocates a slot per restart, so `/solve` and each `/batch` item answer with a
+/// guard error and the server keeps serving.
+#[test]
+fn oversized_restarts_return_422_and_the_server_keeps_serving() {
+    let (handle, mut client) = test_server();
+    let body = graph_io::write_edge_list(&classic::petersen());
+    for (path, status) in [("/solve", 422), ("/batch", 200)] {
+        let target = format!("{path}?p=2,1&strategy=heuristic&restarts=1099511627776");
+        let resp = client.request("POST", &target, &body).unwrap();
+        assert_eq!(resp.status, status, "{path}: {}", resp.body);
+        assert!(resp.body.contains("\"kind\":\"guard\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("exceeds the restart guard"),
+            "{}",
+            resp.body
+        );
+    }
+    let health = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(health.status, 200, "server survives the request");
+    stop(handle, client);
+}
+
 #[test]
 fn unsupported_and_parse_errors_are_typed() {
     let (handle, mut client) = test_server();

@@ -1,8 +1,8 @@
-//! Christofides (cycle) and Hoogeveen (path) 1.5-approximations for metric
-//! instances.
+//! Hoogeveen's 1.5-approximation for metric **Path** TSP (Christofides
+//! adapted to free endpoints).
 //!
 //! The paper's Corollary 1 invokes a polynomial 1.5-approximation for
-//! **Metric Path TSP** (citing Zenklusen's LP-based algorithm). We implement
+//! Metric Path TSP (citing Zenklusen's LP-based algorithm). We implement
 //! the classical combinatorial route instead: Hoogeveen's Christofides
 //! variant for the *both-endpoints-free* path case, which matches the 3/2
 //! guarantee needed here whenever the matching subroutine is exact
@@ -10,48 +10,20 @@
 //!
 //! 1. `T` ← minimum spanning tree;
 //! 2. `O` ← odd-degree vertices of `T` (|O| even);
-//! 3. cycle: add a minimum-weight perfect matching on `O`;
-//!    path: add a minimum-weight matching covering all but two of `O`
-//!    (the two survivors become the Eulerian path endpoints);
-//! 4. Eulerian circuit/path over the multigraph (Hierholzer);
+//! 3. add a minimum-weight matching covering all but two of `O` (the two
+//!    survivors become the Eulerian path endpoints);
+//! 4. Eulerian path over the multigraph (Hierholzer);
 //! 5. shortcut repeated vertices (triangle inequality ⇒ no weight increase).
 
-use crate::matching::{
-    min_weight_near_perfect_matching, min_weight_perfect_matching, MatchingBackend,
-};
+use crate::matching::{min_weight_near_perfect_matching, MatchingBackend};
 use crate::mst::{odd_degree_vertices, prim_mst};
-use crate::tour::{cycle_weight, path_weight};
+use crate::tour::path_weight;
 use crate::{TspInstance, Weight};
 
-/// Christofides 1.5-approximation for metric **cycle** TSP.
-///
-/// `backend` selects the matching algorithm; with an exact backend
-/// ([`MatchingBackend::Auto`] up to its exact range) the 3/2 ratio is
-/// guaranteed on metric instances.
-pub fn christofides_cycle(inst: &TspInstance, backend: MatchingBackend) -> (Vec<u32>, Weight) {
-    let n = inst.n();
-    if n <= 3 {
-        let order: Vec<u32> = (0..n as u32).collect();
-        let w = cycle_weight(inst, &order);
-        return (order, w);
-    }
-    let (mut edges, _) = prim_mst(inst);
-    let odd = odd_degree_vertices(n, &edges);
-    if !odd.is_empty() {
-        let w = |a: usize, b: usize| inst.weight(odd[a] as usize, odd[b] as usize);
-        let pairs = min_weight_perfect_matching(odd.len(), &w, backend);
-        for (a, b) in pairs {
-            edges.push((odd[a as usize], odd[b as usize]));
-        }
-    }
-    let circuit = eulerian_walk(n, &edges, None);
-    let order = shortcut(n, &circuit);
-    let w = cycle_weight(inst, &order);
-    (order, w)
-}
-
-/// Hoogeveen 1.5-approximation for metric **path** TSP with both endpoints
-/// free — the variant the Theorem 2 reduction needs.
+/// Hoogeveen 1.5-approximation for metric Path TSP with both endpoints
+/// free — the variant the Theorem 2 reduction needs. `backend` selects the
+/// matching algorithm; with an exact backend ([`MatchingBackend::Auto`] up
+/// to its exact range) the 3/2 ratio is guaranteed on metric instances.
 pub fn christofides_path(inst: &TspInstance, backend: MatchingBackend) -> (Vec<u32>, Weight) {
     let n = inst.n();
     if n <= 2 {
@@ -75,35 +47,32 @@ pub fn christofides_path(inst: &TspInstance, backend: MatchingBackend) -> (Vec<u
         let _ = ub;
         odd[ua as usize] as usize
     };
-    let walk = eulerian_walk(n, &edges, Some(start));
+    let walk = eulerian_walk(n, &edges, start);
     let order = shortcut(n, &walk);
     let w = path_weight(inst, &order);
     (order, w)
 }
 
-/// Hierholzer's algorithm over an edge multiset.
-///
-/// With `start = None` the multigraph must have all degrees even (circuit);
-/// with `Some(s)` exactly the 0-or-2-odd condition must hold and `s` must be
-/// an odd vertex when there are two. Returns the vertex sequence of the walk
-/// (first == last for circuits).
-pub fn eulerian_walk(n: usize, edges: &[(u32, u32)], start: Option<usize>) -> Vec<u32> {
+/// Hierholzer's algorithm over an edge multiset: an Eulerian walk from
+/// `start`. The multigraph must have zero or two odd-degree vertices, and
+/// `start` must be one of them when there are two. Returns the vertex
+/// sequence of the walk.
+pub fn eulerian_walk(n: usize, edges: &[(u32, u32)], start: usize) -> Vec<u32> {
     if edges.is_empty() {
-        return vec![start.unwrap_or(0) as u32];
+        return vec![start as u32];
     }
     let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n]; // (neighbor, edge id)
     for (id, &(u, v)) in edges.iter().enumerate() {
         adj[u as usize].push((v, id as u32));
         adj[v as usize].push((u, id as u32));
     }
-    let s = start.unwrap_or(edges[0].0 as usize);
     debug_assert!(
-        !adj[s].is_empty(),
+        !adj[start].is_empty(),
         "start vertex must touch at least one edge"
     );
     let mut used = vec![false; edges.len()];
     let mut ptr = vec![0usize; n];
-    let mut stack = vec![s as u32];
+    let mut stack = vec![start as u32];
     let mut walk = Vec::with_capacity(edges.len() + 1);
     while let Some(&v) = stack.last() {
         let v = v as usize;
@@ -151,7 +120,7 @@ pub fn shortcut(n: usize, walk: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{brute_force_cycle, brute_force_path};
+    use crate::exact::brute_force_path;
     use crate::tour::is_permutation;
 
     /// Random metric instance: shortest-path closure of random weights.
@@ -183,23 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn cycle_ratio_within_1_5() {
-        for n in [5usize, 7, 9] {
-            for salt in 0..5 {
-                let t = random_metric(n, salt);
-                let (order, w) = christofides_cycle(&t, MatchingBackend::Auto);
-                assert!(is_permutation(n, &order));
-                let (_, opt) = brute_force_cycle(&t);
-                assert!(w >= opt);
-                assert!(
-                    2 * w <= 3 * opt,
-                    "ratio breach: n={n} salt={salt} {w}/{opt}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn path_ratio_within_1_5() {
         for n in [4usize, 6, 8, 10] {
             for salt in 0..5 {
@@ -226,9 +178,10 @@ mod tests {
 
     #[test]
     fn eulerian_circuit_covers_all_edges() {
-        // Two triangles sharing vertex 0: 0-1-2-0, 0-3-4-0.
+        // Two triangles sharing vertex 0: 0-1-2-0, 0-3-4-0. No odd vertex,
+        // so the walk from 0 is a circuit.
         let edges = vec![(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)];
-        let walk = eulerian_walk(5, &edges, None);
+        let walk = eulerian_walk(5, &edges, 0);
         assert_eq!(walk.len(), edges.len() + 1);
         assert_eq!(walk[0], *walk.last().unwrap());
     }
@@ -237,7 +190,7 @@ mod tests {
     fn eulerian_path_with_two_odd() {
         // Path multigraph 0-1, 1-2 has odd ends 0 and 2.
         let edges = vec![(0, 1), (1, 2)];
-        let walk = eulerian_walk(3, &edges, Some(0));
+        let walk = eulerian_walk(3, &edges, 0);
         assert_eq!(walk, vec![0, 1, 2]);
     }
 
@@ -251,7 +204,6 @@ mod tests {
     fn small_instances() {
         let t = TspInstance::from_matrix(1, vec![0]);
         assert_eq!(christofides_path(&t, MatchingBackend::Auto).1, 0);
-        assert_eq!(christofides_cycle(&t, MatchingBackend::Auto).1, 0);
         let t2 = TspInstance::from_matrix(2, vec![0, 4, 4, 0]);
         assert_eq!(christofides_path(&t2, MatchingBackend::Auto).1, 4);
     }

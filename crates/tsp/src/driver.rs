@@ -1,5 +1,6 @@
-//! High-level solve entry points: parallel multi-start heuristics and the
-//! path↔cycle dummy-city bridge.
+//! Multi-start Path TSP heuristic: parallel chained LK over the
+//! zero-weight dummy-city extension, where a cycle is a path with both
+//! endpoints free.
 
 use crate::lk::{chained_lk_with_candidates, ChainedLkConfig};
 use crate::localsearch::CandidateLists;
@@ -29,33 +30,14 @@ impl Default for HeuristicConfig {
     }
 }
 
-/// Multi-start chained-LK for **cycle** TSP. Restarts run in parallel via
-/// `dclab-par`; the result is deterministic for a fixed config (best of a
-/// fixed set of seeded runs, ties by restart index).
-pub fn solve_cycle_heuristic(inst: &TspInstance, cfg: &HeuristicConfig) -> (Vec<u32>, Weight) {
-    let n = inst.n();
-    assert!(n >= 1, "empty instance");
-    let restarts = cfg.restarts.max(1);
-    // One candidate-list build shared (read-only) by every restart — the
-    // build is the same for all of them, and under a tight deadline an
-    // already-expired run shouldn't pay for lists it cannot use.
-    let cands = if n > 3 && !cfg.chained.local.deadline.expired() {
-        CandidateLists::build(inst, cfg.chained.local.neighbor_k)
-    } else {
-        CandidateLists::empty(n)
-    };
-    let runs = dclab_par::par_map_indexed(restarts, |i| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
-        let start_city = i % n;
-        chained_lk_with_candidates(inst, start_city, &cfg.chained, &cands, &mut rng)
-    });
-    runs.into_iter()
-        .min_by_key(|(_, w)| *w)
-        .expect("at least one restart")
-}
-
-/// Multi-start chained-LK for **path** TSP (both endpoints free), via the
-/// zero-weight dummy city.
+/// Multi-start chained LK for **path** TSP (both endpoints free).
+///
+/// Restart `i` runs cycle LK on the dummy-city extension from city
+/// `i mod (n+1)` with seed `seed + i`. Restarts run in parallel via
+/// `dclab-par`; the result is deterministic for a fixed config (the
+/// lightest tour, ties to the lowest restart). Once the deadline has fired,
+/// every restart after the first returns without building a tour, so an
+/// expired solve pays for one construction, not `restarts` of them.
 pub fn solve_path_heuristic(inst: &TspInstance, cfg: &HeuristicConfig) -> (Vec<u32>, Weight) {
     let n = inst.n();
     assert!(n >= 1, "empty instance");
@@ -63,7 +45,28 @@ pub fn solve_path_heuristic(inst: &TspInstance, cfg: &HeuristicConfig) -> (Vec<u
         return (vec![0], 0);
     }
     let ext = inst.with_dummy_city();
-    let (cycle, _) = solve_cycle_heuristic(&ext, cfg);
+    let deadline = &cfg.chained.local.deadline;
+    // One candidate-list build shared (read-only) by every restart — the
+    // build is the same for all of them, and under a tight deadline an
+    // already-expired run shouldn't pay for lists it cannot use.
+    let cands = if ext.n() > 3 && !deadline.expired() {
+        CandidateLists::build(&ext, cfg.chained.local.neighbor_k)
+    } else {
+        CandidateLists::empty(ext.n())
+    };
+    let runs = dclab_par::par_map_indexed(cfg.restarts.max(1), |i| {
+        if i > 0 && deadline.expired() {
+            return None;
+        }
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
+        let run = chained_lk_with_candidates(&ext, i % ext.n(), &cfg.chained, &cands, &mut rng);
+        Some(run)
+    });
+    let (cycle, _) = runs
+        .into_iter()
+        .flatten()
+        .min_by_key(|(_, w)| *w)
+        .expect("restart 0 always runs");
     let path = cycle_with_dummy_to_path(n, &cycle);
     let w = path_weight(inst, &path);
     (path, w)

@@ -1,9 +1,10 @@
-//! Held–Karp dynamic programming: `O(2^n n²)` time, `O(2^n n)` space.
+//! Held–Karp dynamic programming for Metric Path TSP: `O(2^n n²)` time,
+//! `O(2^n n)` space.
 //!
 //! This is the algorithm behind Corollary 1 of the paper — the exact
-//! `O(2^n n²)` bound for `L(p)`-labeling on small-diameter graphs. Both the
-//! classical cycle variant and the *path* variant (both endpoints free,
-//! which the reduction needs) are provided, with tour reconstruction.
+//! `O(2^n n²)` bound for `L(p)`-labeling on small-diameter graphs. Only the
+//! *path* variant (both endpoints free, which the reduction needs) is
+//! provided, with tour reconstruction.
 //!
 //! Memory note: the DP table stores `2^n · n` `u32` entries plus `u8`
 //! parents; n = 24 needs ~1.5 GiB, so construction is guarded at n ≤ 24.
@@ -91,88 +92,6 @@ pub fn held_karp_path(inst: &TspInstance) -> (Vec<u32>, Weight) {
     (order, best as Weight)
 }
 
-/// Exact minimum-weight Hamiltonian cycle (city 0 pinned as the start).
-///
-/// # Panics
-/// Same guards as [`held_karp_path`]; additionally `n ≥ 1`.
-pub fn held_karp_cycle(inst: &TspInstance) -> (Vec<u32>, Weight) {
-    let n = inst.n();
-    assert!(n >= 1, "empty instance");
-    assert!(n <= 24, "Held-Karp guarded at n ≤ 24 (memory)");
-    if n == 1 {
-        return (vec![0], 0);
-    }
-    if n == 2 {
-        return (vec![0, 1], 2 * inst.weight(0, 1));
-    }
-    check_weights(inst);
-    // Subsets over cities 1..n (city 0 implicit start).
-    let m = n - 1;
-    let full: usize = (1usize << m) - 1;
-    let mut dp = vec![UNREACHED; (full + 1) * m];
-    let mut parent = vec![u8::MAX; (full + 1) * m];
-    for j in 0..m {
-        dp[(1 << j) * m + j] = inst.weight(0, j + 1) as u32;
-    }
-    for mask in 1..=full {
-        if mask.count_ones() < 2 {
-            continue;
-        }
-        let mut rem = mask;
-        while rem != 0 {
-            let j = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            let prev_mask = mask & !(1 << j);
-            let mut best = UNREACHED;
-            let mut best_i = u8::MAX;
-            let mut prem = prev_mask;
-            while prem != 0 {
-                let i = prem.trailing_zeros() as usize;
-                prem &= prem - 1;
-                let base = dp[prev_mask * m + i];
-                if base == UNREACHED {
-                    continue;
-                }
-                let cand = base + inst.weight(i + 1, j + 1) as u32;
-                if cand < best {
-                    best = cand;
-                    best_i = i as u8;
-                }
-            }
-            dp[mask * m + j] = best;
-            parent[mask * m + j] = best_i;
-        }
-    }
-    let (mut end, mut best) = (0usize, UNREACHED);
-    for j in 0..m {
-        let w = dp[full * m + j];
-        if w == UNREACHED {
-            continue;
-        }
-        let total = w + inst.weight(j + 1, 0) as u32;
-        if total < best {
-            best = total;
-            end = j;
-        }
-    }
-    let mut order = vec![0u32];
-    let mut tail = Vec::with_capacity(m);
-    let mut mask = full;
-    let mut j = end;
-    loop {
-        tail.push((j + 1) as u32);
-        let p = parent[mask * m + j];
-        if p == u8::MAX {
-            break;
-        }
-        mask &= !(1 << j);
-        j = p as usize;
-    }
-    tail.reverse();
-    order.extend(tail);
-    (order, best as Weight)
-}
-
 fn check_weights(inst: &TspInstance) {
     if let Some((_, max)) = inst.weight_range() {
         assert!(
@@ -186,7 +105,7 @@ fn check_weights(inst: &TspInstance) {
 mod tests {
     use super::*;
     use crate::exact::brute::{brute_force_cycle, brute_force_path};
-    use crate::tour::{cycle_weight, is_permutation, path_weight};
+    use crate::tour::{is_permutation, path_weight};
 
     fn pseudo_random_instance(n: usize, salt: u64) -> TspInstance {
         TspInstance::from_fn(n, |u, v| {
@@ -210,36 +129,22 @@ mod tests {
     }
 
     #[test]
-    fn matches_brute_force_cycle() {
-        for n in 3..=8 {
-            for salt in 0..3 {
-                let t = pseudo_random_instance(n, salt);
-                let (order, w) = held_karp_cycle(&t);
-                let (_, bw) = brute_force_cycle(&t);
-                assert_eq!(w, bw, "n={n} salt={salt}");
-                assert!(is_permutation(n, &order));
-                assert_eq!(cycle_weight(&t, &order), w);
-            }
-        }
-    }
-
-    #[test]
     fn trivial_sizes() {
         let t1 = TspInstance::from_matrix(1, vec![0]);
         assert_eq!(held_karp_path(&t1), (vec![0], 0));
-        assert_eq!(held_karp_cycle(&t1), (vec![0], 0));
         let t2 = TspInstance::from_matrix(2, vec![0, 9, 9, 0]);
         assert_eq!(held_karp_path(&t2).1, 9);
-        assert_eq!(held_karp_cycle(&t2).1, 18);
     }
 
+    /// `solve_path_heuristic` solves the cycle problem on the dummy-city
+    /// extension; its optimum must equal the path optimum.
     #[test]
     fn path_equals_cycle_on_dummy_extension() {
         for salt in 0..4 {
             let t = pseudo_random_instance(7, salt);
             let (_, pw) = held_karp_path(&t);
             let ext = t.with_dummy_city();
-            let (_, cw) = held_karp_cycle(&ext);
+            let (_, cw) = brute_force_cycle(&ext);
             assert_eq!(pw, cw, "dummy-city equivalence broken (salt={salt})");
         }
     }

@@ -1,4 +1,5 @@
-//! Exact TSP solvers: brute force (reference oracle) and Held–Karp.
+//! Exact Path TSP solvers: Held–Karp and branch and bound, plus brute
+//! force as the reference oracle.
 
 pub mod branch_bound;
 pub mod brute;
@@ -6,4 +7,4 @@ pub mod held_karp;
 
 pub use branch_bound::{branch_bound_path, branch_bound_path_anytime, BbResult, BbStatus};
 pub use brute::{brute_force_cycle, brute_force_path};
-pub use held_karp::{held_karp_cycle, held_karp_path};
+pub use held_karp::held_karp_path;

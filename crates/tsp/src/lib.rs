@@ -1,22 +1,22 @@
-//! From-scratch (Metric) TSP / Path-TSP engine.
+//! From-scratch Metric **Path** TSP engine.
 //!
 //! This crate is the algorithmic substrate behind the paper's Theorem 2:
 //! once an `L(p)`-labeling instance is reduced to a dense symmetric
-//! [`TspInstance`], everything here applies —
+//! [`TspInstance`], everything here solves Path TSP with both endpoints
+//! free —
 //!
-//! * **exact**: permutation brute force ([`exact::brute`]) and Held–Karp
-//!   dynamic programming in `O(2^n n²)` ([`exact::held_karp`]), both in cycle
-//!   and *path* (free endpoints) variants;
-//! * **approximation**: Christofides for metric cycle TSP and Hoogeveen's
-//!   3/2 variant for metric path TSP ([`christofides`]), on top of a Prim
-//!   MST, Hierholzer Eulerian traversal, and a minimum-weight perfect
-//!   matching toolbox ([`matching`]);
-//! * **heuristics**: nearest-neighbor / greedy-edge construction
-//!   ([`construct`]), 2-opt and Or-opt local search with neighbor lists and
-//!   don't-look bits ([`localsearch`]), and a chained Lin–Kernighan-style
-//!   metaheuristic with double-bridge kicks ([`lk`]);
-//! * **driver**: parallel multi-start orchestration and the dummy-city
-//!   path↔cycle equivalence ([`driver`]);
+//! * **exact**: Held–Karp dynamic programming in `O(2^n n²)`
+//!   ([`exact::held_karp`]) and MST-bounded branch and bound, checked
+//!   against permutation brute force ([`exact::brute`]);
+//! * **approximation**: Hoogeveen's 3/2 variant of Christofides
+//!   ([`christofides`]), on top of a Prim MST, Hierholzer Eulerian
+//!   traversal, and a minimum-weight matching toolbox ([`matching`]);
+//! * **heuristics**: nearest-neighbor construction ([`construct`]), 2-opt
+//!   and Or-opt local search with neighbor lists and don't-look bits
+//!   ([`localsearch`]), and a chained Lin–Kernighan-style metaheuristic
+//!   with double-bridge kicks ([`lk`]);
+//! * **multi-start heuristic**: parallel chained LK on the zero-weight
+//!   dummy-city extension, where a cycle is a path ([`driver`]);
 //! * **certificates**: the path-form Held–Karp lower bound with subgradient
 //!   ascent ([`lowerbound`]) for bounding heuristic gaps at scale;
 //! * **one Prim kernel** ([`mst`]) under the MST, branch and bound's

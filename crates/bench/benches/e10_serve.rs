@@ -11,10 +11,11 @@
 //!   adversarial guard 422s): the warm pass must run ≥ 90 % hits with
 //!   bit-identical report bodies.
 //!
-//! * **connection capacity**: keep-alive connections sustained
-//!   concurrently by the epoll reactor vs. the `--legacy-blocking`
-//!   thread-per-connection path at equal worker count (the reactor must
-//!   manage ≥ 4× — gated as `serve_conns_sustained` in bench-gate).
+//! * **connection capacity**: keep-alive connections the epoll reactor
+//!   sustains concurrently, each proven live by a served request. It must
+//!   manage at least 4 × (workers + 1): four times the most a core pinning
+//!   one worker per connection could hold, with one connection queued
+//!   besides (gated as `serve_conns_sustained` in bench-gate).
 //! * **cluster soak**: two consistent-hash replicas under concurrent
 //!   mixed load; publishes the latency histogram (p50/p90/p99/p999),
 //!   routing tallies, and the hard-5xx count (must be zero).
@@ -22,7 +23,7 @@
 //! Writes machine-readable results to `BENCH_serve.json` at the workspace
 //! root and exits non-zero if the acceptance invariants fail (warm p50 at
 //! least 10× faster than cold on the exact corpus; warm hit rate ≥ 0.9;
-//! reactor capacity ≥ 4× legacy; clean cluster soak).
+//! reactor capacity ≥ 4 × (workers + 1); clean cluster soak).
 //!
 //! `DCLAB_BENCH_QUICK=1` shrinks the corpora, the capacity probe cap, and
 //! the soak duration for CI.
@@ -86,9 +87,10 @@ fn free_addr() -> String {
 
 fn main() {
     let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
+    let workers = 4;
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
+        workers,
         cache_mb: 64,
         queue_cap: 0,
         ..Default::default()
@@ -122,25 +124,14 @@ fn main() {
         mixed_cold.unexpected + mixed_warm.unexpected
     );
 
-    // --- Connection capacity: reactor vs. the legacy blocking path. ---
-    // Same worker count, same small queue; every legacy keep-alive
-    // connection pins a worker, the reactor's cost only a buffer.
+    // --- Connection capacity: a reactor keep-alive connection costs a ---
+    // --- buffer, not a worker. ---
     let cap_limit = if quick { 96 } else { 256 };
     let conns_sustained = sustained_conns(addr, cap_limit);
-    let legacy_handle = start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 4,
-        cache_mb: 8,
-        queue_cap: 4,
-        legacy_blocking: true,
-        ..Default::default()
-    })
-    .expect("bind legacy server");
-    let legacy_conns_sustained = sustained_conns(legacy_handle.addr(), 32);
-    drop(legacy_handle); // its workers are pinned by held conns; just drop
+    let min_conns = 4 * (workers + 1);
     println!(
         "bench e10_serve/capacity: reactor sustained {conns_sustained} keep-alive conns \
-         (probe cap {cap_limit}), legacy {legacy_conns_sustained} at equal workers"
+         (probe cap {cap_limit}) on {workers} workers, gate {min_conns}"
     );
 
     // --- Two-replica cluster soak: mixed load, latency histogram, ---
@@ -202,7 +193,6 @@ fn main() {
             .f64("mixed_warm_hit_rate", mixed_warm.hit_rate())
             .u64("serve_p99_us", serve_p99_us)
             .usize("serve_conns_sustained", conns_sustained)
-            .usize("legacy_conns_sustained", legacy_conns_sustained)
             .raw("cluster_soak", &soak.to_json())
             .raw("passes", &passes)
             .finish()
@@ -241,11 +231,9 @@ fn main() {
     if cold.unexpected + warm.unexpected + mixed_cold.unexpected + mixed_warm.unexpected > 0 {
         failures.push("unexpected HTTP statuses".into());
     }
-    // Tentpole acceptance: the reactor sustains ≥ 4× the concurrent
-    // keep-alive connections of the blocking path at equal worker count.
-    if conns_sustained < 4 * legacy_conns_sustained.max(1) {
+    if conns_sustained < min_conns {
         failures.push(format!(
-            "reactor sustained {conns_sustained} conns < 4x legacy's {legacy_conns_sustained}"
+            "reactor sustained {conns_sustained} conns < 4 × (workers + 1) = {min_conns}"
         ));
     }
     // Cluster soak: routing live, no hard 5xx, no transport errors.

@@ -76,7 +76,9 @@ SERVE FLAGS:
   --addr <host:port>    bind address (default 127.0.0.1:8080; port 0 = ephemeral)
   --workers <N>         worker threads (default: like --threads precedence)
   --cache-mb <N>        report-cache budget in MiB (default 64)
-  --queue-cap <N>       bounded connection queue (default 4 x workers)
+  --queue-cap <N>       bounded queue of solve jobs waiting for a worker
+                        (default 4 x workers); a solve that finds it full is
+                        shed with 503 + Retry-After
   --store-path <file>   persistent solution archive: warm-boot the cache on
                         start, write-behind fresh solves, seal on shutdown
   --max-deadline-ms <N> server-side cap on client deadline-ms requests
@@ -96,8 +98,6 @@ SERVE FLAGS:
   --cluster <a,b,...>   replica list incl. this server's --addr; canonical
                         instance identities are consistent-hashed to an owner
                         replica, non-owners proxy one hop (x-dclab-routed)
-  --legacy-blocking     serve with the pre-reactor thread-per-connection path
-                        (the reactor's differential oracle; capacity = workers)
   --self-test           start on an ephemeral port, replay the loadgen corpus
                         (~2 s), assert cache hits + clean shutdown, then exit
   --duration-ms <N>     self-test duration (default 2000)
@@ -487,7 +487,6 @@ pub fn serve_cmd(args: &[String]) -> Result<(), String> {
                     );
                 }
             }
-            "--legacy-blocking" => cfg.legacy_blocking = true,
             "--self-test" => self_test = true,
             "--duration-ms" => {
                 let v = flag_value("--duration-ms")?;

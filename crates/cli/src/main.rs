@@ -9,10 +9,10 @@
 //!      # solve every instance file in <dir> in parallel (DCLAB_THREADS),
 //!      # one JSON line per instance, deterministic order
 //! dclab serve [--addr host:port] [--workers N] [--cache-mb M]
-//!             [--store-path archive] [--cluster a,b,...] [--legacy-blocking]
+//!             [--store-path archive] [--cluster a,b,...]
 //!      # long-running HTTP solve service with a canonical-instance report
 //!      # cache (POST /solve, POST /batch, GET /healthz, GET /metrics);
-//!      # epoll-reactor core on Linux (thousands of keep-alive connections
+//!      # epoll-reactor core, Linux only (thousands of keep-alive connections
 //!      # on a handful of workers); --cluster consistent-hashes canonical
 //!      # instances across replicas; --store-path warm-boots the cache from
 //!      # a persistent archive and write-behinds fresh solves

@@ -7,8 +7,6 @@
 //!
 //! Semantics:
 //!
-//! * [`WorkerPool::submit`] enqueues a job, **blocking** while the queue is
-//!   full (natural back-pressure for an accept loop).
 //! * [`WorkerPool::try_submit`] never blocks; it returns the job back to
 //!   the caller when the queue is full (load-shedding, HTTP 503).
 //! * [`WorkerPool::shutdown`] is graceful: already-queued jobs are drained,
@@ -53,8 +51,6 @@ struct Shared {
     queue: Mutex<QueueState>,
     /// Signaled when a job is pushed or shutdown begins (workers wait on it).
     job_ready: Condvar,
-    /// Signaled when a job is popped (blocked submitters wait on it).
-    slot_free: Condvar,
     /// Jobs currently *executing* (popped but not finished). Together with
     /// `queue_len` this lets an event loop see real pool pressure — a full
     /// queue with idle workers and a full queue with saturated workers
@@ -85,7 +81,6 @@ impl WorkerPool {
                 shutting_down: false,
             }),
             job_ready: Condvar::new(),
-            slot_free: Condvar::new(),
             in_flight: AtomicUsize::new(0),
         });
         let handles = (0..workers_n)
@@ -109,41 +104,9 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// The queue bound this pool was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Jobs currently executing on workers (diagnostic gauge).
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Total outstanding work: queued + executing. An event loop uses this
-    /// to size `Retry-After` hints and to expose pool-pressure gauges.
-    pub fn load(&self) -> usize {
-        self.queue_len() + self.in_flight()
-    }
-
-    /// Enqueue `job`, blocking while the queue is at capacity.
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), SubmitError> {
-        let mut state = self.shared.queue.lock().expect("pool lock poisoned");
-        loop {
-            if state.shutting_down {
-                return Err(SubmitError::ShuttingDown);
-            }
-            if state.jobs.len() < self.capacity {
-                state.jobs.push_back(Box::new(job));
-                drop(state);
-                self.shared.job_ready.notify_one();
-                return Ok(());
-            }
-            state = self
-                .shared
-                .slot_free
-                .wait(state)
-                .expect("pool lock poisoned");
-        }
     }
 
     /// Enqueue `job` without blocking; a full queue hands the job back.
@@ -179,7 +142,6 @@ impl WorkerPool {
             state.shutting_down = true;
         }
         self.shared.job_ready.notify_all();
-        self.shared.slot_free.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -206,7 +168,6 @@ fn worker_loop(shared: &Shared) {
                 state = shared.job_ready.wait(state).expect("pool lock poisoned");
             }
         };
-        shared.slot_free.notify_one();
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
         // A panicking job must not kill the worker: in a long-running
         // server that would silently shrink the pool until every request
@@ -226,10 +187,11 @@ mod tests {
     #[test]
     fn runs_all_submitted_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let mut pool = WorkerPool::new(4, 8);
+        // A queue bound the 100 jobs can never fill.
+        let mut pool = WorkerPool::new(4, 100);
         for _ in 0..100 {
             let c = Arc::clone(&counter);
-            pool.submit(move || {
+            pool.try_submit(move || {
                 c.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -242,9 +204,9 @@ mod tests {
     fn try_submit_sheds_load_when_full() {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let mut pool = WorkerPool::new(1, 1);
-        // Occupy the single worker…
+        // Occupy the single worker (the queue is empty, so this is taken)…
         let g = Arc::clone(&gate);
-        pool.submit(move || {
+        pool.try_submit(move || {
             let (lock, cv) = &*g;
             let mut open = lock.lock().unwrap();
             while !*open {
@@ -276,9 +238,9 @@ mod tests {
     fn panicking_job_does_not_kill_the_worker() {
         let counter = Arc::new(AtomicUsize::new(0));
         let mut pool = WorkerPool::new(1, 8);
-        pool.submit(|| panic!("job panics")).unwrap();
+        pool.try_submit(|| panic!("job panics")).unwrap();
         let c = Arc::clone(&counter);
-        pool.submit(move || {
+        pool.try_submit(move || {
             c.fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
@@ -296,7 +258,7 @@ mod tests {
         let mut pool = WorkerPool::new(2, 64);
         for _ in 0..50 {
             let c = Arc::clone(&counter);
-            pool.submit(move || {
+            pool.try_submit(move || {
                 std::thread::sleep(Duration::from_micros(100));
                 c.fetch_add(1, Ordering::Relaxed);
             })
@@ -304,23 +266,9 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(counter.load(Ordering::Relaxed), 50, "queued jobs drained");
-        assert!(matches!(pool.submit(|| {}), Err(SubmitError::ShuttingDown)));
-    }
-
-    #[test]
-    fn blocking_submit_waits_for_a_slot() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut pool = WorkerPool::new(1, 2);
-        for _ in 0..20 {
-            let c = Arc::clone(&counter);
-            // With capacity 2 and slow jobs this must block, not fail.
-            pool.submit(move || {
-                std::thread::sleep(Duration::from_micros(200));
-                c.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
+        assert!(matches!(
+            pool.try_submit(|| {}),
+            Err(SubmitError::ShuttingDown)
+        ));
     }
 }

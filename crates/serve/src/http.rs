@@ -1,17 +1,15 @@
 //! Minimal HTTP/1.1 on `std::net` — exactly what the solve service needs
 //! and nothing more: request parsing with bounded header/body sizes,
-//! percent-decoded query strings, keep-alive, and response writing.
+//! percent-decoded query strings, keep-alive, and response rendering.
 //!
 //! The parser is **incremental**: [`try_parse`] inspects a byte slice and
 //! either produces a complete [`Request`] plus the number of bytes it
 //! consumed, or reports that more bytes are needed — no blocking reads, no
-//! per-line temporary strings. Connections feed it from a [`RecvBuffer`],
-//! a ring-style buffer whose allocation is recycled across every request
-//! on the connection, so steady-state keep-alive traffic parses without
-//! per-request buffer allocation. The same parser serves both the epoll
-//! reactor (non-blocking) and the `--legacy-blocking` path (via
-//! [`read_request_buffered`]), which is what makes their responses
-//! byte-identical by construction.
+//! per-line temporary strings. The reactor feeds it from each
+//! connection's [`RecvBuffer`], a ring-style buffer whose allocation is
+//! recycled across every request on the connection, so steady-state
+//! keep-alive traffic parses without per-request buffer allocation, and
+//! sends every response as the bytes of [`render_response`].
 //!
 //! The client side is one bounded reader, [`read_response`], shared by the
 //! load generator's [`Client`](crate::loadgen::Client) and the cluster
@@ -20,7 +18,7 @@
 //! Not a general web server: no chunked transfer encoding, no multipart,
 //! no TLS. Clients that need those get a clean 4xx, not undefined behavior.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Read};
 
 /// Upper bound on the request line + headers block (and on a response's
 /// status line + headers block in [`read_response`]).
@@ -79,22 +77,14 @@ impl Request {
     }
 }
 
-/// Why a request could not be parsed. `ConnectionClosed` is the clean
-/// end-of-keep-alive case, not an error to report.
+/// Why a request could not be parsed; either way the connection answers
+/// the error and closes.
 #[derive(Debug)]
 pub enum ParseError {
-    ConnectionClosed,
-    Io(std::io::Error),
     /// Malformed request; the `&'static str` is a safe-to-echo reason.
     Bad(&'static str),
     /// Head or body over the fixed limits (→ 431/413).
     TooLarge(&'static str),
-}
-
-impl From<std::io::Error> for ParseError {
-    fn from(e: std::io::Error) -> Self {
-        ParseError::Io(e)
-    }
 }
 
 /// A growable ring-style receive buffer: bytes are committed at the tail,
@@ -326,33 +316,6 @@ fn parse_head(data: &[u8], max_head: usize) -> Result<Option<(Request, usize)>, 
     )))
 }
 
-/// Blocking companion to [`try_parse`] for the `--legacy-blocking` path
-/// and tests: read from `stream` into `rb` until one complete request
-/// parses (honoring the stream's read timeout). Returns
-/// `ConnectionClosed` on EOF before any byte of a new request.
-pub fn read_request_buffered(
-    stream: &mut impl Read,
-    rb: &mut RecvBuffer,
-    max_body: usize,
-) -> Result<Request, ParseError> {
-    loop {
-        if let Some((req, consumed)) = try_parse(rb.data(), MAX_HEAD_BYTES, max_body)? {
-            rb.consume(consumed);
-            return Ok(req);
-        }
-        let spare = rb.spare(4096);
-        let n = stream.read(spare)?;
-        if n == 0 {
-            return Err(if rb.is_empty() {
-                ParseError::ConnectionClosed
-            } else {
-                ParseError::Bad("truncated request")
-            });
-        }
-        rb.commit(n);
-    }
-}
-
 /// Parse `a=1&b=x%20y` (missing `=` means empty value).
 fn parse_query(q: &str) -> Option<Vec<(String, String)>> {
     let mut out = Vec::new();
@@ -491,9 +454,6 @@ pub fn reason(status: u16) -> &'static str {
 /// `application/json`; an `extra_headers` entry named `content-type`
 /// (case-insensitive) **replaces** the default instead of duplicating it,
 /// so non-JSON endpoints (Prometheus `/metrics`) can declare themselves.
-///
-/// Both serve paths (epoll reactor and `--legacy-blocking`) emit responses
-/// through this one function, which is what pins them byte-identical.
 pub fn render_response(
     status: u16,
     extra_headers: &[(&str, &str)],
@@ -525,18 +485,6 @@ pub fn render_response(
     out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
     out
-}
-
-/// Write one response (blocking). See [`render_response`].
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    stream.write_all(&render_response(status, extra_headers, body, keep_alive))?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -724,32 +672,6 @@ mod tests {
         let _ = rb.spare(60); // must slide, not grow past need
         assert_eq!(rb.len(), 4);
         assert_eq!(rb.data(), &junk[junk.len() - 4..]);
-    }
-
-    #[test]
-    fn blocking_reader_handles_eof_and_dribble() {
-        // EOF before any byte → clean ConnectionClosed.
-        let mut empty: &[u8] = b"";
-        let mut rb = RecvBuffer::default();
-        assert!(matches!(
-            read_request_buffered(&mut empty, &mut rb, MAX_BODY_BYTES),
-            Err(ParseError::ConnectionClosed)
-        ));
-        // EOF mid-request → Bad, never a phantom complete request.
-        let mut trunc: &[u8] = b"GET /healthz HT";
-        let mut rb = RecvBuffer::default();
-        assert!(matches!(
-            read_request_buffered(&mut trunc, &mut rb, MAX_BODY_BYTES),
-            Err(ParseError::Bad("truncated request"))
-        ));
-        // A whole request followed by EOF parses fine.
-        let mut ok: &[u8] = b"GET /healthz?x=1 HTTP/1.0\r\nhost: x\r\n\r\n";
-        let mut rb = RecvBuffer::default();
-        let req = read_request_buffered(&mut ok, &mut rb, MAX_BODY_BYTES).unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/healthz");
-        assert_eq!(req.version_minor, 0);
-        assert!(!req.keep_alive());
     }
 
     #[test]

@@ -28,15 +28,13 @@
 //!   [`dclab_trace::FlightRecorder`] behind `GET /debug/traces`, feed the
 //!   `dclab_phase_seconds` histograms, and slow solves get a structured
 //!   log line behind `GET /debug/slowlog`).
-//! * `reactor` (Linux) — the default serve core: a std-only epoll
-//!   reactor driving per-connection state machines, with CPU-bound
-//!   solves dispatched to a bounded [`dclab_par::WorkerPool`] and
-//!   completions returned over an eventfd. Connection budget is
-//!   decoupled from (and far above) the worker count; overload sheds
-//!   `503 + Retry-After` before a worker is consumed.
-//! * `blocking` — the pre-reactor thread-per-connection path, retained
-//!   behind `--legacy-blocking` as the reactor's differential oracle and
-//!   as the non-Linux fallback.
+//! * `reactor` — the one serve core: a std-only epoll reactor driving
+//!   per-connection state machines, with CPU-bound solves dispatched to a
+//!   bounded [`dclab_par::WorkerPool`] and completions returned over an
+//!   eventfd. Connection budget is decoupled from (and far above) the
+//!   worker count; overload sheds `503 + Retry-After` before a worker is
+//!   consumed. It is Linux-only: elsewhere [`start`] returns
+//!   `ErrorKind::Unsupported` before binding.
 //! * `cluster` — consistent-hash routing of canonical instance identities
 //!   across replicas (`--cluster`), with non-owners proxying one hop.
 //! * [`persist`] — glue to the persistent solution archive
@@ -52,7 +50,6 @@ pub mod metrics;
 pub mod persist;
 pub mod server;
 
-pub(crate) mod blocking;
 pub mod cluster;
 #[cfg(target_os = "linux")]
 pub(crate) mod reactor;

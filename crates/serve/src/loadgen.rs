@@ -510,7 +510,7 @@ pub fn self_test(duration: Duration) -> Result<String, String> {
         queue_cap: 0,
         ..Default::default()
     })
-    .map_err(|e| format!("bind failed: {e}"))?;
+    .map_err(|e| format!("start failed: {e}"))?;
     let addr = handle.addr();
     let corpus = mixed_corpus(42, 12);
     let deadline = Instant::now() + duration;

@@ -306,7 +306,7 @@ pub struct Metrics {
     pub store_warm_boot: AtomicU64,
     /// Store fsyncs (shutdown drain, explicit flushes).
     pub store_flushes: AtomicU64,
-    /// Connections accepted (reactor or blocking accept loop).
+    /// Connections accepted by the reactor.
     pub conns_accepted: AtomicU64,
     /// Currently open connections (gauge; reactor-maintained).
     pub conns_open: AtomicU64,

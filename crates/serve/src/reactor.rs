@@ -1,4 +1,4 @@
-//! The event-driven serve core: a std-only epoll reactor.
+//! The serve core: a std-only epoll reactor (Linux only).
 //!
 //! One reactor thread owns every connection and multiplexes readiness
 //! with `epoll` — the syscalls are declared `extern "C"` against the
@@ -6,8 +6,8 @@
 //! as `graph::bitset` and `store`'s CRC framing: no external crates).
 //! Connection capacity is therefore decoupled from the worker count: the
 //! budget (`--max-conns`, default 1024) is bounded by memory per
-//! connection, not by threads, where the `--legacy-blocking` path pins a
-//! worker per kept-alive connection.
+//! connection, not by threads, and no worker is held by a kept-alive
+//! connection between its requests.
 //!
 //! Per-connection state machine:
 //!
@@ -352,7 +352,14 @@ pub(crate) fn run(listener: TcpListener, ctx: Arc<ServeCtx>, cfg: ReactorConfig)
     }
     r.conns.clear();
     r.ctx.metrics.conns_open.store(0, Ordering::Relaxed);
-    server::finish_shutdown(&r.ctx, &mut r.pool);
+    // Drain + join the pool, then seal the archive (fsync + clean footer)
+    // so a reopened store trusts the whole log.
+    r.pool.shutdown();
+    if let Some(store) = &r.ctx.store {
+        if store.close_clean().is_ok() {
+            r.ctx.metrics.store_flushes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Reactor {
@@ -512,9 +519,10 @@ impl Reactor {
                         if conn.rb.is_empty() {
                             return Verdict::Close; // clean end of keep-alive
                         }
-                        // Mid-request EOF mirrors the blocking path's
-                        // "truncated request" 400 (the peer may have only
-                        // half-closed and still reads).
+                        // EOF in the middle of a request: answer 400
+                        // "truncated request" rather than close silently
+                        // (the peer may have only half-closed and still
+                        // reads).
                         return self.respond_error(
                             conn,
                             token,
@@ -546,10 +554,6 @@ impl Reactor {
                 Err(ParseError::TooLarge(reason)) => {
                     let status = if reason.contains("header") { 431 } else { 413 };
                     return self.respond_error(conn, token, status, reason, "too-large");
-                }
-                // try_parse never returns these.
-                Err(ParseError::ConnectionClosed) | Err(ParseError::Io(_)) => {
-                    return Verdict::Close;
                 }
             }
         }
@@ -617,7 +621,7 @@ impl Reactor {
         }
     }
 
-    /// Parse-level error: the same status/body the blocking path sends,
+    /// Parse-level error: a JSON error body under a generated request id,
     /// then close (a framing error poisons the byte stream).
     fn respond_error(
         &mut self,

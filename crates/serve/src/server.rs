@@ -1,15 +1,14 @@
 //! The solve service: configuration, request routing, and handlers.
 //!
-//! Architecture (default, Linux): one **epoll reactor thread**
-//! (`reactor`) owns every connection as a readiness-driven state
-//! machine; only `POST /solve` and `POST /batch` are dispatched to the
-//! fixed [`WorkerPool`] (bounded queue → back-pressure; overflow is shed
-//! `503` + `Retry-After` *before* a worker is consumed). Every other
-//! endpoint is answered inline on the reactor thread, so `/metrics` and
-//! `/debug/*` stay responsive while all workers are saturated. The
-//! pre-reactor thread-per-connection path survives behind
-//! `--legacy-blocking` (`blocking`) as the differential oracle
-//! and the non-Linux fallback.
+//! Architecture: one **epoll reactor thread** (`reactor`) owns every
+//! connection as a readiness-driven state machine; only `POST /solve` and
+//! `POST /batch` are dispatched to the fixed [`dclab_par::WorkerPool`]
+//! (bounded queue → back-pressure; overflow is shed `503` +
+//! `Retry-After` *before* a worker is consumed). Every other endpoint is
+//! answered inline on the reactor thread, so `/metrics` and `/debug/*`
+//! stay responsive while all workers are saturated. The reactor is
+//! Linux-only; elsewhere [`start`] returns `ErrorKind::Unsupported`
+//! before binding.
 //!
 //! Cluster mode (`--cluster a:p1,b:p2,...`, [`crate::cluster`]) makes each
 //! replica consistent-hash `/solve` requests by canonical instance
@@ -41,7 +40,6 @@ use dclab_engine::json::{array, escape, Obj};
 use dclab_engine::{solve, Budget, EngineError, OraclePolicy, SolveReport, SolveRequest, Strategy};
 use dclab_graph::io as graph_io;
 use dclab_graph::Graph;
-use dclab_par::WorkerPool;
 use dclab_store::Store;
 use dclab_trace::FlightRecorder;
 
@@ -56,11 +54,14 @@ use crate::persist;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads handling connections.
+    /// Worker threads running solves (`/solve` and `/batch`); every other
+    /// endpoint is answered on the reactor thread.
     pub workers: usize,
     /// Report-cache budget in MiB.
     pub cache_mb: usize,
-    /// Bounded connection-queue capacity (0 → `4 × workers`).
+    /// Capacity of the bounded solve-job queue in front of the workers
+    /// (0 → `4 × workers`); a solve that finds it full is shed with `503`
+    /// + `Retry-After`.
     pub queue_cap: usize,
     /// Persistent solution archive (`dclab-store`). `Some(path)` warm-boots
     /// the cache from the archive at start and write-behinds fresh solves;
@@ -78,18 +79,14 @@ pub struct ServeConfig {
     /// with a JSON error, rejected from the `Content-Length` declaration
     /// alone (no body bytes are buffered first).
     pub max_body_bytes: usize,
-    /// Connection budget (`--max-conns`, reactor path): open connections
-    /// past this are answered `503` + `Retry-After` at accept. Decoupled
-    /// from — and far above — the worker count.
+    /// Connection budget (`--max-conns`): open connections past this are
+    /// answered `503` + `Retry-After` at accept. Decoupled from — and far
+    /// above — the worker count.
     pub max_conns: usize,
     /// Per-connection idle deadline in ms (`--conn-idle-ms`): stalled
     /// connections (slow-loris) are reaped and counted in
     /// `dclab_conns_reaped_total`.
     pub conn_idle_ms: u64,
-    /// Use the pre-reactor thread-per-connection path
-    /// (`--legacy-blocking`): the differential oracle, and the only path
-    /// off Linux.
-    pub legacy_blocking: bool,
     /// Cluster replica list (`--cluster a:p1,b:p2,...`), empty for
     /// single-node. Must contain this server's own `addr`; every replica
     /// must be started with the identical list.
@@ -124,7 +121,6 @@ impl Default for ServeConfig {
             max_body_bytes: crate::http::MAX_BODY_BYTES,
             max_conns: crate::reactor_defaults::MAX_CONNS,
             conn_idle_ms: crate::reactor_defaults::CONN_IDLE_MS,
-            legacy_blocking: false,
             cluster: Vec::new(),
         }
     }
@@ -184,8 +180,8 @@ pub struct ServeCtx {
     /// to each other deadlock until the proxy timeout; past the cap a
     /// request degrades to a local fallback solve instead of waiting.
     proxy_limit: usize,
-    /// Request body cap (bytes); enforced by both serve paths at parse
-    /// time, before body bytes are buffered.
+    /// Request body cap (bytes); enforced at parse time, from the
+    /// declared `Content-Length`, before body bytes are buffered.
     pub max_body_bytes: usize,
     /// Cap applied to client-requested `deadline-ms` values.
     pub(crate) max_deadline_ms: u64,
@@ -243,10 +239,11 @@ impl ServerHandle {
     }
 }
 
-/// Bind and start serving in background threads. When the config names a
-/// store path, the archive is opened (recovering any torn tail) and its
-/// records warm-boot the report cache before the first request is
-/// accepted.
+/// Bind and start serving: the reactor thread owns the listener, every
+/// connection and the worker pool. When the config names a store path,
+/// the archive is opened (recovering any torn tail) and its records
+/// warm-boot the report cache before the first request is accepted.
+#[cfg(target_os = "linux")]
 pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -303,29 +300,15 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
         cfg.queue_cap
     };
     let accept_ctx = Arc::clone(&ctx);
-    let legacy = cfg.legacy_blocking || !cfg!(target_os = "linux");
-    let max_conns = cfg.max_conns.max(1);
-    let conn_idle_ms = cfg.conn_idle_ms.max(1);
+    let reactor_cfg = crate::reactor::ReactorConfig {
+        workers,
+        queue_cap,
+        max_conns: cfg.max_conns.max(1),
+        conn_idle_ms: cfg.conn_idle_ms.max(1),
+    };
     let accept_thread = std::thread::Builder::new()
         .name("dclab-accept".into())
-        .spawn(move || {
-            #[cfg(target_os = "linux")]
-            if !legacy {
-                crate::reactor::run(
-                    listener,
-                    accept_ctx,
-                    crate::reactor::ReactorConfig {
-                        workers,
-                        queue_cap,
-                        max_conns,
-                        conn_idle_ms,
-                    },
-                );
-                return;
-            }
-            let _ = (legacy, max_conns);
-            crate::blocking::accept_loop(listener, accept_ctx, workers, queue_cap, conn_idle_ms);
-        })?;
+        .spawn(move || crate::reactor::run(listener, accept_ctx, reactor_cfg))?;
     Ok(ServerHandle {
         addr,
         ctx,
@@ -333,16 +316,14 @@ pub fn start(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// Shared shutdown tail for both serve paths: drain + join the pool, then
-/// seal the archive (fsync + clean footer) so a reopened store trusts the
-/// whole log.
-pub(crate) fn finish_shutdown(ctx: &ServeCtx, pool: &mut WorkerPool) {
-    pool.shutdown();
-    if let Some(store) = &ctx.store {
-        if store.close_clean().is_ok() {
-            ctx.metrics.store_flushes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+/// The reactor is built on epoll, so there is no serve core off Linux:
+/// fail with `Unsupported` before binding.
+#[cfg(not(target_os = "linux"))]
+pub fn start(_cfg: ServeConfig) -> std::io::Result<ServerHandle> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "dclab serve needs Linux: its reactor is built on epoll",
+    ))
 }
 
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
@@ -950,24 +931,28 @@ mod tests {
         let addr = handle.addr();
 
         // Two held requests: one occupies the single worker, the other
-        // fills the queue.
-        let holders: Vec<_> = (0..2)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    Client::new(addr).request("POST", HOLD_PATH, "").unwrap()
-                })
-            })
-            .collect();
+        // fills the queue. The second is sent only once the worker has
+        // taken the first off the queue; sent together, the second could
+        // find the one-slot queue still full and be shed.
+        let hold = || {
+            std::thread::spawn(move || Client::new(addr).request("POST", HOLD_PATH, "").unwrap())
+        };
         let gauges = [
             &handle.ctx().metrics.pool_in_flight,
             &handle.ctx().metrics.pool_queue_depth,
         ];
         let load = || gauges.map(|g| g.load(Ordering::Relaxed));
-        let started = Instant::now();
-        while load() != [1, 1] && started.elapsed() < Duration::from_secs(10) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(load(), [1, 1], "one hold runs, the other is queued");
+        let wait_for = |want: [u64; 2], what: &str| {
+            let started = Instant::now();
+            while load() != want && started.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(load(), want, "{what}");
+        };
+        let mut holders = vec![hold()];
+        wait_for([1, 0], "the first hold runs");
+        holders.push(hold());
+        wait_for([1, 1], "one hold runs, the other is queued");
 
         // Worker busy + queue full: admin endpoints must still answer fast.
         let mut client = Client::new(addr);

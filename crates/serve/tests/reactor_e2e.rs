@@ -1,17 +1,18 @@
 //! End-to-end tests for the epoll reactor serve core: partial-I/O
-//! robustness, differential byte-identity against `--legacy-blocking`,
+//! robustness, a golden transcript of response bytes, EOF mid-request,
 //! connection-budget capacity, slow-loris reaping, body caps, and
 //! consistent-hash cluster routing.
 //!
-//! The differential suite leans on one determinism fact: a report's
+//! The transcript leans on one determinism fact: a report's
 //! `stats.phases` (microsecond timings) is filled only when a live trace
 //! is installed, which `POST /solve` does and `POST /batch` does not. So
 //! a cold `/batch` response is byte-deterministic, and a warm `/solve`
 //! for the same instance returns the batch's phase-free cached bytes —
-//! identical across two independent servers.
+//! the same on every run and at every `DCLAB_THREADS` setting.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dclab_graph::generators::{classic, random};
@@ -139,31 +140,41 @@ fn dribbled_requests_and_one_byte_reads_across_keep_alive() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite: differential oracle. The same request sequence against a
-// reactor server and a --legacy-blocking server must produce identical
-// response BYTES (request ids pinned by the client).
+// Golden transcript. An 8-step keep-alive script (404, 405, a parse
+// error, guard 422s, a cold /batch miss and a warm /solve hit) must be
+// answered with exactly the committed response frames, request ids
+// pinned by the client.
 // ---------------------------------------------------------------------
 
-#[test]
-fn reactor_and_legacy_blocking_responses_are_byte_identical() {
-    let mk = |legacy| {
-        server_with(ServeConfig {
-            workers: 2,
-            cache_mb: 8,
-            queue_cap: 0,
-            legacy_blocking: legacy,
-            ..Default::default()
-        })
-    };
-    let reactor = mk(false);
-    let legacy = mk(true);
+const TRANSCRIPT: &str = "tests/fixtures/reactor_transcript.txt";
 
+const TRANSCRIPT_HEADER: &str = "\
+# Response frames to the reactor_e2e keep-alive script, one line per step:
+# index, method, target, then the frame with \\ written as \\\\, CR as \\r and
+# LF as \\n.";
+
+/// One response frame on one line: `\` → `\\`, CR → `\r`, LF → `\n`.
+fn escape_frame(frame: &[u8]) -> String {
+    let text = std::str::from_utf8(frame).expect("response frames are UTF-8");
+    text.replace('\\', "\\\\")
+        .replace('\r', "\\r")
+        .replace('\n', "\\n")
+}
+
+/// The fixture was recorded from the thread-per-connection server that
+/// preceded the reactor, whose responses the reactor matched byte for
+/// byte; on a mismatch the test names the steps that moved and writes the
+/// transcript it got to `target/tmp/reactor_transcript.txt`. Copy that
+/// file over the fixture only when the change is intended.
+#[test]
+fn reactor_responses_match_the_recorded_transcript() {
+    let handle = reactor_server();
     let petersen = graph_io::write_edge_list(&classic::petersen());
     let k30 = graph_io::write_edge_list(&classic::complete(30));
     let batch = format!("{petersen}%%\nnot a graph\n");
-    // (method, target, body, expect). The /batch runs cold with NO live
-    // trace, so its reports carry no phase timings; the warm /solve then
-    // returns those phase-free bytes from the cache on both servers.
+    // (method, target, body). The /batch runs cold with NO live trace, so
+    // its reports carry no phase timings; the warm /solve then returns
+    // those phase-free bytes from the cache.
     let script: Vec<(&str, &str, &str)> = vec![
         ("GET", "/healthz", ""),
         ("GET", "/nope", ""),
@@ -174,47 +185,94 @@ fn reactor_and_legacy_blocking_responses_are_byte_identical() {
         ("POST", "/solve?p=2,1", &petersen),
         ("POST", "/solve?p=2,1&strategy=exact", &k30),
     ];
-
-    let run = |addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        script
-            .iter()
-            .enumerate()
-            .map(|(i, (method, target, body))| {
-                let close = i == script.len() - 1;
-                let req = render_request(method, target, &format!("diff-{i}"), body, close);
-                stream.write_all(req.as_bytes()).unwrap();
-                stream.flush().unwrap();
-                read_frame(&mut stream, 4096)
-            })
-            .collect()
-    };
-
-    let via_reactor = run(reactor.addr());
-    let via_legacy = run(legacy.addr());
-    for (i, (r, l)) in via_reactor.iter().zip(&via_legacy).enumerate() {
-        assert_eq!(
-            String::from_utf8_lossy(r),
-            String::from_utf8_lossy(l),
-            "script step {i} ({:?}) diverged between reactor and legacy",
-            script[i]
-        );
-    }
-    // Sanity: the warm /solve really was a phase-free cache hit.
-    let warm = String::from_utf8_lossy(&via_reactor[6]);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let frames: Vec<Vec<u8>> = script
+        .iter()
+        .enumerate()
+        .map(|(i, (method, target, body))| {
+            let close = i == script.len() - 1;
+            let req = render_request(method, target, &format!("diff-{i}"), body, close);
+            stream.write_all(req.as_bytes()).unwrap();
+            stream.flush().unwrap();
+            read_frame(&mut stream, 4096)
+        })
+        .collect();
+    drop(stream);
+    shutdown(handle);
+    // The warm /solve really was a phase-free cache hit.
+    let warm = String::from_utf8_lossy(&frames[6]);
     assert!(warm.contains("x-dclab-cache: hit"), "{warm}");
     assert!(!warm.contains("\"phases\""), "{warm}");
-    shutdown(reactor);
-    shutdown(legacy);
+
+    let got: Vec<String> = script
+        .iter()
+        .zip(&frames)
+        .enumerate()
+        .map(|(i, ((method, target, _), frame))| {
+            format!("{i} {method} {target} {}", escape_frame(frame))
+        })
+        .collect();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fixture = std::fs::read_to_string(root.join(TRANSCRIPT)).unwrap_or_default();
+    let want: Vec<&str> = fixture
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    if want == got {
+        return;
+    }
+    let moved: Vec<String> = (0..got.len().max(want.len()))
+        .filter(|&i| want.get(i).copied() != got.get(i).map(String::as_str))
+        .map(|i| format!("  step {i}: {:?}", script.get(i).map(|(m, t, _)| (m, t))))
+        .collect();
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("reactor_transcript.txt");
+    std::fs::write(&out, format!("{TRANSCRIPT_HEADER}\n{}\n", got.join("\n"))).unwrap();
+    panic!(
+        "{} response frames differ from {TRANSCRIPT}:\n{}\nthe transcript received now is in \
+         {}; copy that file over the fixture if the change is intended",
+        moved.len(),
+        moved.join("\n"),
+        out.display()
+    );
 }
 
 // ---------------------------------------------------------------------
-// Tentpole acceptance: at equal worker count the reactor sustains at
-// least 4x the concurrent keep-alive connections of the legacy path,
-// with no 5xx.
+// EOF in the middle of a request: a peer that half-closes after part of
+// a head gets 400 "truncated request"; one that half-closes before
+// sending a byte is closed without a reply.
+// ---------------------------------------------------------------------
+
+#[test]
+fn eof_mid_request_answers_400_and_eof_before_a_request_closes() {
+    let handle = reactor_server();
+    let read_all_after_half_close = |sent: &[u8]| {
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(sent).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).expect("server closes");
+        String::from_utf8(reply).unwrap()
+    };
+    let truncated = read_all_after_half_close(b"GET /healthz HT");
+    assert!(truncated.starts_with("HTTP/1.1 400"), "{truncated}");
+    assert!(truncated.contains("truncated request"), "{truncated}");
+    assert!(truncated.contains("connection: close"), "{truncated}");
+    let silent = read_all_after_half_close(b"");
+    assert!(silent.is_empty(), "{silent}");
+    shutdown(handle);
+}
+
+// ---------------------------------------------------------------------
+// Capacity: the reactor sustains at least 4 × (workers + 1)
+// concurrent keep-alive connections, each proven live by a served
+// request, with no 5xx: four times the most that a core pinning one
+// worker per connection could hold, with a connection queued besides.
 // ---------------------------------------------------------------------
 
 /// Open keep-alive connections one at a time, each proving liveness with
@@ -256,33 +314,19 @@ fn sustained_conns(addr: SocketAddr, limit: usize) -> usize {
 }
 
 #[test]
-fn reactor_sustains_4x_the_keep_alive_connections_of_legacy() {
+fn reactor_sustains_4x_workers_plus_one_keep_alive_connections() {
     let workers = 2;
-    let mk = |legacy| {
-        server_with(ServeConfig {
-            workers,
-            cache_mb: 8,
-            queue_cap: workers, // small bounded queue, same for both
-            legacy_blocking: legacy,
-            ..Default::default()
-        })
-    };
-    let legacy = mk(true);
-    // Every legacy keep-alive connection pins a worker, so it saturates
-    // at the worker count no matter how many sockets accept().
-    let legacy_sustained = sustained_conns(legacy.addr(), 32);
+    let reactor = server_with(ServeConfig {
+        workers,
+        cache_mb: 8,
+        queue_cap: workers, // a small bounded queue
+        ..Default::default()
+    });
+    let target = 4 * (workers + 1);
+    let sustained = sustained_conns(reactor.addr(), 64.max(target));
     assert!(
-        legacy_sustained <= workers + 1,
-        "legacy path should pin workers, sustained {legacy_sustained}"
-    );
-    drop(legacy); // keep-alive conns pin its workers; don't drain, just drop
-
-    let reactor = mk(false);
-    let target = (legacy_sustained.max(1)) * 4;
-    let reactor_sustained = sustained_conns(reactor.addr(), 64.max(target));
-    assert!(
-        reactor_sustained >= target,
-        "reactor sustained {reactor_sustained} < 4x legacy's {legacy_sustained}"
+        sustained >= target,
+        "reactor sustained {sustained} < 4 × (workers + 1) = {target}"
     );
     shutdown(reactor);
 }
@@ -397,46 +441,40 @@ fn idle_connections_are_reaped_and_counted() {
 
 // ---------------------------------------------------------------------
 // Satellite: --max-body-bytes. Oversized declared bodies get 413 with a
-// JSON error body — before the body is transferred — on both paths.
+// JSON error body — before the body is transferred.
 // ---------------------------------------------------------------------
 
 #[test]
 fn oversized_bodies_rejected_with_413_on_both_paths() {
-    for legacy in [false, true] {
-        let handle = server_with(ServeConfig {
-            workers: 2,
-            cache_mb: 8,
-            queue_cap: 0,
-            max_body_bytes: 1024,
-            legacy_blocking: legacy,
-            ..Default::default()
-        });
-        // Declare a 100 MB body but send only the head: the 413 must
-        // arrive immediately, proving the server rejects on the declared
-        // length instead of buffering.
-        let mut stream = TcpStream::connect(handle.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream
-            .write_all(b"POST /solve HTTP/1.1\r\nhost: t\r\ncontent-length: 104857600\r\n\r\n")
-            .unwrap();
-        let frame = String::from_utf8(read_frame(&mut stream, 4096)).unwrap();
-        assert!(
-            frame.starts_with("HTTP/1.1 413"),
-            "legacy={legacy}: {frame}"
-        );
-        assert!(frame.contains("\"kind\":\"too-large\""), "{frame}");
-        assert!(frame.contains("connection: close"), "{frame}");
+    let handle = server_with(ServeConfig {
+        workers: 2,
+        cache_mb: 8,
+        queue_cap: 0,
+        max_body_bytes: 1024,
+        ..Default::default()
+    });
+    // Declare a 100 MB body but send only the head: the 413 must arrive
+    // immediately, proving the server rejects on the declared length
+    // instead of buffering.
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"POST /solve HTTP/1.1\r\nhost: t\r\ncontent-length: 104857600\r\n\r\n")
+        .unwrap();
+    let frame = String::from_utf8(read_frame(&mut stream, 4096)).unwrap();
+    assert!(frame.starts_with("HTTP/1.1 413"), "{frame}");
+    assert!(frame.contains("\"kind\":\"too-large\""), "{frame}");
+    assert!(frame.contains("connection: close"), "{frame}");
 
-        // An in-budget request on a fresh connection still works.
-        let mut client = Client::new(handle.addr());
-        let small = graph_io::write_edge_list(&classic::complete(4));
-        let ok = client.request("POST", "/solve?p=2,1", &small).unwrap();
-        assert_eq!(ok.status, 200, "{}", ok.body);
-        drop(client);
-        shutdown(handle);
-    }
+    // An in-budget request on a fresh connection still works.
+    let mut client = Client::new(handle.addr());
+    let small = graph_io::write_edge_list(&classic::complete(4));
+    let ok = client.request("POST", "/solve?p=2,1", &small).unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    drop(client);
+    shutdown(handle);
 }
 
 // ---------------------------------------------------------------------

@@ -243,21 +243,20 @@ pub fn solve(req: &SolveRequest) -> Result<SolveReport, EngineError> {
     if !trace.is_enabled() {
         return solve_impl(req);
     }
-    let mut report = {
-        let mut span = trace.span("solve");
-        let report = solve_impl(req)?;
-        span.set_detail(format!(
-            "strategy={} span={}",
-            report.strategy_used.name(),
-            report.solution.span
-        ));
-        report
-    };
+    let mut span = trace.span("solve");
+    let first = span.id();
+    let mut report = solve_impl(req)?;
+    span.set_detail(format!(
+        "strategy={} span={}",
+        report.strategy_used.name(),
+        report.solution.span
+    ));
     // Snapshot after the solve span closed so it is part of its own
     // attribution (one trace per solve: the caller installs a fresh
-    // `Trace` per request).
+    // `Trace` per request, and spans it opened first stay out).
+    drop(span);
     report.stats.phases = trace
-        .phase_totals()
+        .phase_totals_since(first)
         .into_iter()
         .map(|t| crate::report::PhaseStat {
             name: t.name,

@@ -1,5 +1,6 @@
 //! Core undirected simple-graph type.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// An undirected simple graph on vertices `0..n`.
@@ -16,7 +17,11 @@ pub struct Graph {
 
 impl Graph {
     /// Empty graph on `n` vertices.
+    ///
+    /// # Panics
+    /// If the ids `0..n` do not fit in `u32`, the neighbor-list type.
     pub fn new(n: usize) -> Self {
+        assert_ids_fit(n);
         Graph {
             n,
             m: 0,
@@ -27,11 +32,66 @@ impl Graph {
     /// Build from an edge list; duplicate edges are ignored, self-loops are
     /// rejected with a panic (simple graphs only).
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Graph::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
+        Graph::counted(n, edges.iter().copied()).0
+    }
+
+    /// Strict bulk construction for the instance parsers: like
+    /// [`Graph::from_edges`], but a repeated pair is an error. `Err(i)`
+    /// names the first pair, in input order, that repeats an earlier one.
+    pub(crate) fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Result<Self, usize> {
+        let (g, repeated) = Graph::counted(n, pairs.iter().map(|&(u, v)| (u as usize, v as usize)));
+        if !repeated {
+            return Ok(g);
         }
-        g
+        let mut seen = HashSet::with_capacity(pairs.len());
+        Err(pairs
+            .iter()
+            .position(|&(u, v)| !seen.insert((u.min(v), u.max(v))))
+            .expect("a repeated pair was seen"))
+    }
+
+    /// The one bulk constructor: count the degrees, allocate each neighbor
+    /// list at its exact size, fill the lists in pair order and sort only
+    /// the lists that arrived out of order. Repeated pairs are dropped; the
+    /// flag says whether there were any.
+    ///
+    /// # Panics
+    /// On out-of-range endpoints or a self-loop.
+    fn counted<I>(n: usize, pairs: I) -> (Self, bool)
+    where
+        I: Iterator<Item = (usize, usize)> + Clone,
+    {
+        assert_ids_fit(n);
+        let mut deg = vec![0usize; n];
+        for (u, v) in pairs.clone() {
+            assert!(u < n && v < n, "edge endpoint out of range");
+            assert_ne!(u, v, "self-loops are not allowed in a simple graph");
+            deg[u] += 1;
+            deg[v] += 1;
+        }
+        let mut adj: Vec<Vec<u32>> = deg.iter().map(|&d| Vec::with_capacity(d)).collect();
+        // A list is still sorted while every id pushed exceeds its last.
+        let mut unsorted = vec![false; n];
+        for (u, v) in pairs {
+            for (a, b) in [(u, v as u32), (v, u as u32)] {
+                let list = &mut adj[a];
+                unsorted[a] |= list.last().is_some_and(|&last| last >= b);
+                list.push(b);
+            }
+        }
+        let mut repeated = false;
+        let mut ends = 0usize;
+        for (list, unsorted) in adj.iter_mut().zip(unsorted) {
+            if unsorted {
+                list.sort_unstable();
+                let len = list.len();
+                list.dedup();
+                repeated |= list.len() < len;
+            }
+            ends += list.len();
+        }
+        let m = ends / 2;
+        (Graph { n, m, adj }, repeated)
     }
 
     /// Number of vertices.
@@ -119,7 +179,7 @@ impl Graph {
     }
 
     /// Iterator over all edges as `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
         self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
             nbrs.iter().filter_map(move |&v| {
                 let v = v as usize;
@@ -159,11 +219,7 @@ impl Graph {
     /// the edge set. Useful for permutation-invariance tests.
     pub fn relabeled(&self, perm: &[usize]) -> Graph {
         assert_eq!(perm.len(), self.n);
-        let mut g = Graph::new(self.n);
-        for (u, v) in self.edges() {
-            g.add_edge(perm[u], perm[v]);
-        }
-        g
+        Graph::counted(self.n, self.edges().map(|(u, v)| (perm[u], perm[v]))).0
     }
 
     /// Consistency check used by tests and debug assertions: sorted,
@@ -193,6 +249,11 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// Neighbor lists store ids as `u32`.
+fn assert_ids_fit(n: usize) {
+    assert!(n as u64 <= 1 << 32, "vertex ids 0..{n} do not fit in u32");
 }
 
 impl fmt::Debug for Graph {
@@ -245,6 +306,52 @@ mod tests {
     fn self_loop_panics() {
         let mut g = Graph::new(2);
         g.add_edge(1, 1);
+    }
+
+    #[test]
+    fn counting_build_matches_insertion() {
+        // Unsorted, repeated pairs in both orientations: the bulk build
+        // drops repeats as `add_edge` does, and strict construction names
+        // the first one in input order.
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [2usize, 5, 17, 60] {
+            let pairs: Vec<(usize, usize)> = (0..3 * n)
+                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            let mut inserted = Graph::new(n);
+            let fresh: Vec<bool> = pairs
+                .iter()
+                .map(|&(u, v)| inserted.add_edge(u, v))
+                .collect();
+            let first_repeat = fresh.iter().position(|&f| !f);
+            let built = Graph::from_edges(n, &pairs);
+            built.validate().unwrap();
+            assert_eq!(built, inserted);
+            let narrow: Vec<(u32, u32)> =
+                pairs.iter().map(|&(u, v)| (u as u32, v as u32)).collect();
+            match first_repeat {
+                Some(i) => assert_eq!(Graph::from_pairs(n, &narrow), Err(i)),
+                None => assert_eq!(Graph::from_pairs(n, &narrow), Ok(inserted)),
+            }
+        }
+        assert_eq!(
+            Graph::from_pairs(4, &[(0, 1), (2, 3), (1, 2), (3, 2), (1, 0)]),
+            Err(3)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops are not allowed")]
+    fn counting_build_rejects_self_loops() {
+        Graph::from_edges(3, &[(0, 1), (2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit in u32")]
+    fn ids_must_fit_in_u32() {
+        Graph::new((1 << 32) + 1);
     }
 
     #[test]

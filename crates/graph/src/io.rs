@@ -10,7 +10,14 @@
 //! Parsing is strict about shape (every edge line must have exactly two
 //! endpoints in range) but forgiving about redundancy: duplicate edges and
 //! self-loops are rejected rather than silently dropped, so a round-trip
-//! through [`write_edge_list`] / [`parse_edge_list`] is exact.
+//! through [`write_edge_list`] / [`parse_edge_list`] is exact. No instance
+//! has more than [`MAX_VERTICES`] vertices.
+//!
+//! The edge-list parser reads the common line shape, two plain numbers,
+//! straight from the bytes into `(u32, u32)` pairs, and hands every other
+//! line to a per-line parser that writes every error message. Both formats
+//! build through one counting constructor. docs/FORMATS.md states the
+//! grammar and which error wins.
 
 use crate::graph::Graph;
 
@@ -61,6 +68,11 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The most vertices an instance may have. A declared count above it, or a
+/// vertex id at or above it, is a [`ParseError`] on its line, before
+/// anything is allocated for the graph.
+pub const MAX_VERTICES: usize = 1 << 20;
+
 fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
@@ -88,20 +100,69 @@ pub fn serialize(g: &Graph, format: Format) -> String {
 /// comments). The vertex count is `max endpoint + 1` unless pinned higher
 /// by the header.
 pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
-    let mut n: Option<usize> = None;
-    let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (line, u, v)
-    let mut max_v = 0usize;
-    let mut saw_any = false;
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    let bytes = text.as_bytes();
+    let mut scan = EdgeListScan {
+        n: None,
+        saw_any: false,
+        max_v: 0,
+        edges: Vec::with_capacity(bytes.len() / 8),
+    };
+    let mut start = 0;
+    let mut lineno = 0;
+    while start < bytes.len() {
+        lineno += 1;
+        let (shape, end) = lex_edge_line(bytes, start);
+        // Ids at or above this are out of range: the declared count, or
+        // the bound on every instance.
+        let limit = scan.n.unwrap_or(MAX_VERTICES) as u64;
+        match shape {
+            Shape::Blank => {}
+            Shape::Pair(u, v) if u != v && u.max(v) < limit => scan.push(u as usize, v as usize),
+            _ => scan.line(lineno, &text[start..end])?,
+        }
+        start = end + 1;
+    }
+    let n = match scan.n {
+        Some(n) => n,
+        None if scan.edges.is_empty() => 0,
+        None => scan.max_v + 1,
+    };
+    build_graph(text, n, &scan.edges, |line| {
+        strip_comment(line)
+            .split_whitespace()
+            .next()
+            .is_some_and(|first| first != "n")
+    })
+}
+
+/// What the edge-list scan has read so far.
+struct EdgeListScan {
+    /// The `n` header's count, once read.
+    n: Option<usize>,
+    /// Whether an edge line came before (an `n` header must not follow one).
+    saw_any: bool,
+    max_v: usize,
+    edges: Vec<(u32, u32)>,
+}
+
+impl EdgeListScan {
+    fn push(&mut self, u: usize, v: usize) {
+        self.saw_any = true;
+        self.max_v = self.max_v.max(u).max(v);
+        self.edges.push((u as u32, v as u32));
+    }
+
+    /// The per-line parser: it reads every line the byte lexer passes on
+    /// and writes every error.
+    fn line(&mut self, lineno: usize, raw: &str) -> Result<(), ParseError> {
         let line = strip_comment(raw);
         if line.is_empty() {
-            continue;
+            return Ok(());
         }
         let mut it = line.split_whitespace();
-        let first = it.next().unwrap();
+        let first = it.next().expect("a non-blank line has a token");
         if first == "n" {
-            if saw_any || n.is_some() {
+            if self.saw_any || self.n.is_some() {
                 return Err(err(lineno, "n header must be the first directive"));
             }
             let v = it
@@ -110,13 +171,13 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
             if it.next().is_some() {
                 return Err(err(lineno, "trailing tokens after n header"));
             }
-            n = Some(
-                v.parse()
-                    .map_err(|_| err(lineno, format!("bad vertex count '{v}'")))?,
-            );
-            continue;
+            let n = v
+                .parse()
+                .map_err(|_| err(lineno, format!("bad vertex count '{v}'")))?;
+            self.n = Some(check_count(lineno, n)?);
+            return Ok(());
         }
-        saw_any = true;
+        self.saw_any = true;
         let u: usize = first
             .parse()
             .map_err(|_| err(lineno, format!("bad endpoint '{first}'")))?;
@@ -132,29 +193,26 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, ParseError> {
         if u == v {
             return Err(err(lineno, format!("self-loop at vertex {u}")));
         }
-        if let Some(n) = n {
-            // Header came first (enforced above), so check in place.
-            if u >= n || v >= n {
+        let top = u.max(v);
+        match self.n {
+            // The header came first (enforced above), so check in place.
+            Some(n) if top >= n => {
                 return Err(err(
                     lineno,
-                    format!("endpoint {} out of range for declared n = {n}", u.max(v)),
-                ));
+                    format!("endpoint {top} out of range for declared n = {n}"),
+                ))
             }
+            None if top >= MAX_VERTICES => {
+                return Err(err(
+                    lineno,
+                    format!("endpoint {top} out of range: ids must be below {MAX_VERTICES}"),
+                ))
+            }
+            _ => {}
         }
-        max_v = max_v.max(u).max(v);
-        edges.push((lineno, u, v));
+        self.push(u, v);
+        Ok(())
     }
-    let n = match n {
-        Some(n) => n,
-        None => {
-            if edges.is_empty() {
-                0
-            } else {
-                max_v + 1
-            }
-        }
-    };
-    build(n, &edges)
 }
 
 /// Parse the DIMACS `.col` format (1-based `e u v` lines).
@@ -168,7 +226,7 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
     let mut n: Option<usize> = None;
     let mut declared_m: Option<usize> = None;
     let mut p_line = 1usize;
-    let mut edges: Vec<(usize, usize, usize)> = Vec::new(); // (line, u, v)
+    let mut edges: Vec<(u32, u32)> = Vec::new(); // 0-based
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -180,7 +238,7 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
             continue;
         }
         let mut it = line.split_whitespace();
-        match it.next().unwrap() {
+        match it.next().expect("a non-blank line has a token") {
             "p" => {
                 if n.is_some() {
                     return Err(err(lineno, "duplicate p line"));
@@ -196,10 +254,9 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                 }
                 let nv = it.next().ok_or_else(|| err(lineno, "p line missing n"))?;
                 let nm = it.next().ok_or_else(|| err(lineno, "p line missing m"))?;
-                n = Some(
-                    nv.parse()
-                        .map_err(|_| err(lineno, format!("bad n '{nv}'")))?,
-                );
+                let count = nv
+                    .parse()
+                    .map_err(|_| err(lineno, format!("bad n '{nv}'")))?;
                 declared_m = Some(
                     nm.parse()
                         .map_err(|_| err(lineno, format!("bad m '{nm}'")))?,
@@ -207,6 +264,7 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                 if it.next().is_some() {
                     return Err(err(lineno, "trailing tokens after p line"));
                 }
+                n = Some(check_count(lineno, count)?);
                 p_line = lineno;
             }
             "e" => {
@@ -231,7 +289,7 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
                 if it.next().is_some() {
                     return Err(err(lineno, "trailing tokens after e line"));
                 }
-                edges.push((lineno, u - 1, v - 1));
+                edges.push(((u - 1) as u32, (v - 1) as u32));
             }
             other => return Err(err(lineno, format!("unknown directive '{other}'"))),
         }
@@ -245,23 +303,130 @@ pub fn parse_dimacs(text: &str) -> Result<Graph, ParseError> {
             ));
         }
     }
-    build(n, &edges)
+    build_graph(text, n, &edges, |line| {
+        line.split_whitespace().next() == Some("e")
+    })
 }
 
-fn build(n: usize, edges: &[(usize, usize, usize)]) -> Result<Graph, ParseError> {
-    let mut g = Graph::new(n);
-    for &(line, u, v) in edges {
-        if !g.add_edge(u, v) {
-            return Err(err(line, format!("duplicate edge {u}-{v}")));
-        }
+/// A declared vertex count, held to [`MAX_VERTICES`].
+fn check_count(lineno: usize, n: usize) -> Result<usize, ParseError> {
+    if n > MAX_VERTICES {
+        return Err(err(
+            lineno,
+            format!("vertex count {n} exceeds the limit of {MAX_VERTICES}"),
+        ));
     }
-    Ok(g)
+    Ok(n)
+}
+
+/// Build the scanned graph. A repeated pair is reported at its second
+/// occurrence. Only that error path reads the text again, for the line of
+/// the k-th edge: every line `is_edge` picks out gave one pair, in order.
+fn build_graph(
+    text: &str,
+    n: usize,
+    edges: &[(u32, u32)],
+    is_edge: impl Fn(&str) -> bool,
+) -> Result<Graph, ParseError> {
+    Graph::from_pairs(n, edges).map_err(|k| {
+        let (u, v) = edges[k];
+        let line = text
+            .lines()
+            .enumerate()
+            .filter(|(_, line)| is_edge(line))
+            .nth(k)
+            .map(|(idx, _)| idx + 1)
+            .expect("every scanned pair has its edge line");
+        err(line, format!("duplicate edge {u}-{v}"))
+    })
 }
 
 fn strip_comment(line: &str) -> &str {
     match line.find('#') {
         Some(i) => line[..i].trim(),
         None => line.trim(),
+    }
+}
+
+/// One line as the byte lexer sees it.
+enum Shape {
+    /// Nothing but ASCII blanks and, possibly, a comment.
+    Blank,
+    /// Two plain decimal numbers of at most 19 digits each, which always
+    /// fit in a `u64`.
+    Pair(u64, u64),
+    /// Anything else, for the per-line parser.
+    Other,
+}
+
+/// ASCII whitespace other than the line feed. `str::trim` and
+/// `split_whitespace` treat these bytes alike, so a line of them needs no
+/// Unicode decoding.
+fn is_blank(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\x0b' | b'\x0c')
+}
+
+fn skip_blanks(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && is_blank(b[i]) {
+        i += 1;
+    }
+    i
+}
+
+/// Index of the line feed at or after `i`, or the end of the text.
+fn line_end(b: &[u8], i: usize) -> usize {
+    b[i..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(b.len(), |k| i + k)
+}
+
+/// Whether `i` ends the line.
+fn at_end(b: &[u8], i: usize) -> bool {
+    i == b.len() || b[i] == b'\n'
+}
+
+/// A run of 1–19 ASCII digits at `i`, with the index after it.
+fn number(b: &[u8], mut i: usize) -> Option<(u64, usize)> {
+    let start = i;
+    let mut x = 0u64;
+    while i < b.len() && b[i].is_ascii_digit() {
+        if i - start == 19 {
+            return None;
+        }
+        x = x * 10 + u64::from(b[i] - b'0');
+        i += 1;
+    }
+    (i > start).then_some((x, i))
+}
+
+/// `number blanks number blanks` at `i`: the numbers and the index after
+/// the trailing blanks.
+fn pair(b: &[u8], i: usize) -> Option<(u64, u64, usize)> {
+    let (u, i) = number(b, i)?;
+    let j = skip_blanks(b, i);
+    if j == i {
+        return None;
+    }
+    let (v, i) = number(b, j)?;
+    Some((u, v, skip_blanks(b, i)))
+}
+
+/// Lex the edge-list line that starts at `start`: blanks, `u`, blanks,
+/// `v`, blanks and an optional `#` comment. Returns the shape and the
+/// index of the line's end.
+fn lex_edge_line(b: &[u8], start: usize) -> (Shape, usize) {
+    let i = skip_blanks(b, start);
+    if at_end(b, i) {
+        return (Shape::Blank, i);
+    }
+    if b[i] == b'#' {
+        return (Shape::Blank, line_end(b, i));
+    }
+    match pair(b, i) {
+        Some((u, v, j)) if at_end(b, j) => (Shape::Pair(u, v), j),
+        Some((u, v, j)) if b[j] == b'#' => (Shape::Pair(u, v), line_end(b, j)),
+        _ => (Shape::Other, line_end(b, i)),
     }
 }
 
@@ -284,6 +449,9 @@ pub fn write_dimacs(g: &Graph) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -405,6 +573,74 @@ mod tests {
             "csv".parse::<Format>(),
             Err("unknown format 'csv'".to_string())
         );
+    }
+
+    #[test]
+    fn vertex_counts_are_bounded() {
+        // At the bound: accepted, in both formats.
+        let at = MAX_VERTICES;
+        assert_eq!(parse_edge_list(&format!("n {at}\n")).unwrap().n(), at);
+        assert_eq!(parse_edge_list(&format!("0 {}\n", at - 1)).unwrap().n(), at);
+        let g = parse_dimacs(&format!("p edge {at} 1\ne 1 {at}\n")).unwrap();
+        assert!(g.n() == at && g.has_edge(0, at - 1));
+        // Just past it: an error on its line, before anything is allocated.
+        let over = at + 1;
+        let e = parse_edge_list(&format!("# big\nn {over}\n0 1\n")).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "vertex count 1048577 exceeds the limit of 1048576")
+        );
+        let e = parse_edge_list(&format!("0 1\n2 {at}\n")).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (
+                2,
+                "endpoint 1048576 out of range: ids must be below 1048576"
+            )
+        );
+        let e = parse_edge_list("n 99999999999\n").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("exceeds the limit"), "{e}");
+        let e = parse_dimacs(&format!("c big\np edge {over} 0\n")).unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "vertex count 1048577 exceeds the limit of 1048576")
+        );
+        // A declared count keeps naming its own range.
+        let e = parse_edge_list(&format!("n 4\n0 {at}\n")).unwrap_err();
+        assert_eq!(
+            e.message,
+            "endpoint 1048576 out of range for declared n = 4"
+        );
+    }
+
+    #[test]
+    fn scan_errors_win_and_duplicates_name_their_second_line() {
+        // A bad line reports even after an earlier repeated pair.
+        let e = parse_edge_list("0 1\n1 0\n2 x\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (3, "bad endpoint 'x'"));
+        // The repeat is reported where it occurs, as written, past
+        // comments, blank lines and lines the per-line parser read.
+        let e = parse_edge_list("# c\n0 1\n\n+1 2\n2\u{a0}0 # x\n2 1\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (6, "duplicate edge 2-1"));
+        let e = parse_dimacs("p edge 3 2\nc x\ne 2 1\n\n e 1 2\n").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (5, "duplicate edge 0-1"));
+    }
+
+    #[test]
+    fn lexed_and_per_line_lines_agree() {
+        // The same triangle in the byte lexer's shape and in shapes only
+        // the per-line parser reads: CRLF, VT/FF, NBSP, `+`, zero padding.
+        let plain = parse_edge_list("0 1\n1 2\n2 0\n").unwrap();
+        for text in [
+            "0 1\r\n1 2\r\n2 0\r\n",
+            "0\u{b}1\n1\u{c}2\n\t2 0 #c\n",
+            "0\u{a0}1\n1\u{2003}2\n2 0\n",
+            "+0 1\n1 +2\n2 0\n",
+            "000000000000000000000 1\n1 2\n2 0000000000000000000000\n",
+        ] {
+            assert_eq!(parse_edge_list(text).unwrap(), plain, "{text:?}");
+        }
     }
 
     #[test]

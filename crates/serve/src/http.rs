@@ -208,6 +208,7 @@ pub fn try_parse(
 
 /// The interim response that releases a client waiting on
 /// `Expect: 100-continue`.
+#[cfg(target_os = "linux")]
 pub(crate) const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 
 /// `true` when `data` starts with a complete HTTP/1.1 head carrying
@@ -215,6 +216,7 @@ pub(crate) const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
 /// client (curl, for bodies over 1 MiB) holds its body back until it reads
 /// [`CONTINUE`] or a timeout passes. Meaningful only while [`try_parse`]
 /// still reports the request incomplete, i.e. the body has not all arrived.
+#[cfg(target_os = "linux")]
 pub(crate) fn expects_continue(data: &[u8]) -> bool {
     matches!(
         parse_head(data, MAX_HEAD_BYTES),
@@ -598,6 +600,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_os = "linux")]
     fn expects_continue_needs_a_complete_http11_head() {
         let head = b"POST /solve HTTP/1.1\r\nExpect: 100-Continue\r\ncontent-length: 4\r\n\r\n";
         assert!(expects_continue(head));

@@ -17,6 +17,7 @@
 use dclab_core::pvec::PVec;
 use dclab_engine::binary::{report_from_bytes, report_to_bytes};
 use dclab_engine::SolveReport;
+use dclab_graph::io::MAX_VERTICES;
 use dclab_graph::Graph;
 use dclab_store::{Store, StoreKey};
 
@@ -51,14 +52,20 @@ pub fn store_append(store: &Store, key: &CacheKey, report: &SolveReport) -> std:
 }
 
 /// Load every live archive record into the cache. Returns the number of
-/// entries loaded; undecodable records are skipped, not fatal (the boot
-/// must never be wedged by one foreign record).
+/// entries loaded; undecodable records, and records whose vertex count
+/// exceeds [`MAX_VERTICES`], are skipped, not fatal (the boot must never be
+/// wedged by one foreign record).
 pub fn warm_boot(cache: &ReportCache, store: &Store) -> u64 {
     let Ok(records) = store.iter_live() else {
         return 0;
     };
     let mut loaded = 0u64;
     for (skey, val) in records {
+        // A count past the parsers' bound could only come from a foreign
+        // or corrupt record; building its graph could exhaust memory.
+        if skey.n as usize > MAX_VERTICES {
+            continue;
+        }
         let Ok(report) = report_from_bytes(&val) else {
             continue;
         };
@@ -169,5 +176,29 @@ mod tests {
             let cached = cache.get(&key).expect("warm-booted entry hits");
             assert_eq!(cached.to_json(), report.to_json());
         }
+    }
+
+    #[test]
+    fn warm_boot_skips_a_record_past_the_vertex_bound() {
+        // A well-formed record, one label per vertex, whose edgeless graph
+        // has one vertex more than a parser would accept.
+        let store = temp_store("warmboot-bound.dcst");
+        let p = PVec::l21();
+        let g = classic::complete(3);
+        let key = CacheKey::for_request(
+            &g,
+            &p,
+            Strategy::Auto,
+            Budget::default(),
+            OraclePolicy::Auto,
+        );
+        let mut report = solve(&SolveRequest::new(g, p)).unwrap();
+        let n = MAX_VERTICES + 1;
+        report.solution.labeling = dclab_core::labeling::Labeling::new(vec![0; n]);
+        let mut skey = store_key(&key);
+        skey.n = n as u32;
+        skey.edges.clear();
+        store.append(&skey, &report_to_bytes(&report)).unwrap();
+        assert_eq!(warm_boot(&ReportCache::new(1 << 20), &store), 0);
     }
 }

@@ -28,26 +28,38 @@
 //! Every response carries an `X-Request-Id` header: the client's value
 //! echoed back when it sent one (so distributed traces line up), a
 //! generated id otherwise. `/solve` requests run under a live
-//! [`dclab_trace::Trace`] keyed by that id; finished traces land in the
-//! flight recorder and feed the `dclab_phase_seconds` histograms.
+//! [`dclab_trace::Trace`] keyed by that id from the body parse on
+//! (`parse`, `canon`, then `request` around the cache and the solve);
+//! finished traces land in the flight recorder and feed the
+//! `dclab_phase_seconds` histograms.
 
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use dclab_engine::json::{array, escape, Obj};
-use dclab_engine::{solve, Budget, EngineError, OraclePolicy, SolveReport, SolveRequest, Strategy};
-use dclab_graph::io as graph_io;
-use dclab_graph::Graph;
 use dclab_store::Store;
 use dclab_trace::FlightRecorder;
 
-use crate::cache::{CacheKey, CacheStatus, ReportCache};
-use crate::cluster::{self, Cluster};
-use crate::http::Request;
-use crate::metrics::{Metrics, StoreGauges};
-use crate::persist;
+use crate::cache::ReportCache;
+use crate::cluster::Cluster;
+use crate::metrics::Metrics;
+
+// Request handling runs on the reactor, so it is built on Linux only.
+#[cfg(target_os = "linux")]
+use {
+    crate::cache::{CacheKey, CacheStatus},
+    crate::cluster,
+    crate::http::Request,
+    crate::metrics::StoreGauges,
+    crate::persist,
+    dclab_engine::json::{array, escape, Obj},
+    dclab_engine::{solve, Budget, EngineError, OraclePolicy, SolveReport, SolveRequest, Strategy},
+    dclab_graph::io as graph_io,
+    dclab_graph::Graph,
+    std::net::TcpListener,
+    std::sync::atomic::{AtomicU64, AtomicUsize},
+    std::time::Instant,
+};
 
 /// Server configuration (the CLI's `dclab serve` flags).
 #[derive(Clone, Debug)]
@@ -100,12 +112,15 @@ pub const DEFAULT_MAX_DEADLINE_MS: u64 = 60_000;
 pub const DEFAULT_SLOW_SOLVE_MS: u64 = 250;
 
 /// Completed solve traces the flight recorder retains by recency.
+#[cfg(target_os = "linux")]
 const FLIGHT_LAST_N: usize = 128;
 
 /// Slowest solve traces retained separately from the recency ring.
+#[cfg(target_os = "linux")]
 const FLIGHT_SLOWEST_K: usize = 16;
 
 /// Slow-solve log lines kept for `GET /debug/slowlog`.
+#[cfg(target_os = "linux")]
 const SLOWLOG_CAP: usize = 128;
 
 impl Default for ServeConfig {
@@ -135,6 +150,7 @@ pub struct SlowLog {
 }
 
 impl SlowLog {
+    #[cfg(target_os = "linux")]
     fn new(cap: usize) -> SlowLog {
         SlowLog {
             lines: Mutex::new(Vec::new()),
@@ -173,19 +189,23 @@ pub struct ServeCtx {
     /// Consistent-hash routing state when serving as a cluster replica.
     pub cluster: Option<Cluster>,
     /// Outbound proxies currently blocking a worker (cluster mode).
+    #[cfg(target_os = "linux")]
     proxy_in_flight: AtomicUsize,
     /// Cap on concurrent outbound proxies: `workers - 1`, so at least one
     /// worker is always free to serve *incoming* forwarded requests.
     /// Without this, two replicas whose entire pools are blocked proxying
     /// to each other deadlock until the proxy timeout; past the cap a
     /// request degrades to a local fallback solve instead of waiting.
+    #[cfg(target_os = "linux")]
     proxy_limit: usize,
     /// Request body cap (bytes); enforced at parse time, from the
     /// declared `Content-Length`, before body bytes are buffered.
     pub max_body_bytes: usize,
     /// Cap applied to client-requested `deadline-ms` values.
+    #[cfg(target_os = "linux")]
     pub(crate) max_deadline_ms: u64,
     /// Threshold for the slow-solve log, in ms.
+    #[cfg(target_os = "linux")]
     pub(crate) slow_solve_ms: u64,
     shutdown: AtomicBool,
 }
@@ -195,6 +215,7 @@ impl ServeCtx {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    #[cfg(target_os = "linux")]
     fn store_gauges(&self) -> Option<StoreGauges> {
         self.store.as_ref().map(|s| {
             let stats = s.stats();
@@ -326,9 +347,11 @@ pub fn start(_cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     ))
 }
 
+#[cfg(target_os = "linux")]
 static NEXT_REQUEST_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A fresh server-generated request id (process-unique).
+#[cfg(target_os = "linux")]
 pub(crate) fn generate_request_id() -> String {
     format!(
         "req-{:x}-{:06x}",
@@ -341,6 +364,7 @@ pub(crate) fn generate_request_id() -> String {
 /// sent a sane one (printable ASCII, bounded length), a generated id
 /// otherwise. Client ids flow into logs, trace lookups, and response
 /// headers, so hostile bytes are rejected rather than escaped everywhere.
+#[cfg(target_os = "linux")]
 pub(crate) fn request_id(req: &Request) -> String {
     match req.header("x-request-id") {
         Some(v) if !v.is_empty() && v.len() <= 64 && v.bytes().all(|b| b.is_ascii_graphic()) => {
@@ -350,16 +374,19 @@ pub(crate) fn request_id(req: &Request) -> String {
     }
 }
 
+#[cfg(target_os = "linux")]
 pub(crate) fn error_json(message: &str, kind: &str) -> String {
     Obj::new().str("error", message).str("kind", kind).finish()
 }
 
+#[cfg(target_os = "linux")]
 pub(crate) type Response = (u16, Vec<(&'static str, String)>, String);
 
 /// Does this request need a solve worker? Only `/solve` and `/batch` do
 /// CPU-bound work; everything else — health, metrics, debug surfaces,
 /// shutdown, 404/405 — is answered inline on the reactor thread so
 /// observability stays live while the pool is saturated.
+#[cfg(target_os = "linux")]
 pub(crate) fn needs_worker(req: &Request) -> bool {
     #[cfg(test)]
     if req.path == tests::HOLD_PATH {
@@ -373,6 +400,7 @@ pub(crate) fn needs_worker(req: &Request) -> bool {
 
 // `requests_total` is bumped by `record_status` in every answer path
 // (routed, parse failure, overload shed), so totals always reconcile.
+#[cfg(target_os = "linux")]
 pub(crate) fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
     #[cfg(test)]
     if req.path == tests::HOLD_PATH {
@@ -499,6 +527,7 @@ pub(crate) fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
 }
 
 /// Query parameters shared by `/solve` and `/batch`.
+#[cfg(target_os = "linux")]
 struct SolveParams {
     pvec: dclab_core::pvec::PVec,
     strategy: Strategy,
@@ -507,6 +536,7 @@ struct SolveParams {
     format: Option<graph_io::Format>,
 }
 
+#[cfg(target_os = "linux")]
 fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, String> {
     let pvec = match req.query_param("p") {
         Some(raw) => raw.parse()?,
@@ -548,6 +578,7 @@ fn parse_params(req: &Request, max_deadline_ms: u64) -> Result<SolveParams, Stri
 
 /// Sniff DIMACS vs. edge list when the client did not say: DIMACS bodies
 /// open with a `c` comment or the `p` problem line.
+#[cfg(target_os = "linux")]
 fn sniff_format(text: &str) -> graph_io::Format {
     for line in text.lines() {
         let t = line.trim();
@@ -563,6 +594,7 @@ fn sniff_format(text: &str) -> graph_io::Format {
     graph_io::Format::EdgeList
 }
 
+#[cfg(target_os = "linux")]
 fn parse_instance(body: &str, format: Option<graph_io::Format>) -> Result<Graph, String> {
     let format = format.unwrap_or_else(|| sniff_format(body));
     graph_io::parse(body, format).map_err(|e| e.to_string())
@@ -570,6 +602,7 @@ fn parse_instance(body: &str, format: Option<graph_io::Format>) -> Result<Graph,
 
 /// `(status, kind)` for an engine failure; guard refusals are the
 /// unprocessable-instance contract (HTTP 422).
+#[cfg(target_os = "linux")]
 fn engine_error_meta(e: &EngineError) -> (u16, &'static str) {
     match e {
         EngineError::Guard(_) => (422, "guard"),
@@ -582,6 +615,7 @@ fn engine_error_meta(e: &EngineError) -> (u16, &'static str) {
 /// Cache-through solve of one instance under a pre-computed key (the
 /// caller needs the key anyway for cluster routing). Returns the report
 /// and cache status, or an error response triple.
+#[cfg(target_os = "linux")]
 fn cached_solve(
     ctx: &ServeCtx,
     key: &CacheKey,
@@ -637,6 +671,7 @@ fn cached_solve(
     })
 }
 
+#[cfg(target_os = "linux")]
 fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
     let params = match parse_params(req, ctx.max_deadline_ms) {
         Ok(p) => p,
@@ -646,20 +681,34 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
         Ok(s) => s,
         Err(_) => return (400, vec![], error_json("body is not UTF-8", "bad-request")),
     };
-    let graph = match parse_instance(body, params.format) {
+    // Every accepted solve runs under a live trace keyed by the request id,
+    // opened before the body is parsed: the `parse` and `canon` spans come
+    // first, then cache hits record the request span and fresh solves the
+    // full phase tree (the engine snapshots the solve's per-phase totals
+    // into `stats.phases`).
+    let trace = dclab_trace::Trace::enabled();
+    let _install = trace.install();
+    let parsed = {
+        let _span = trace.span("parse");
+        parse_instance(body, params.format)
+    };
+    let graph = match parsed {
         Ok(g) => g,
         Err(e) => return (400, vec![], error_json(&e, "parse")),
     };
     // Cluster routing: the cache key's hash is the canonical instance
     // identity (isomorphism-invariant), so all relabelings of one
     // instance route to the same owner replica.
-    let key = CacheKey::for_request(
-        &graph,
-        &params.pvec,
-        params.strategy,
-        params.budget,
-        params.oracle,
-    );
+    let key = {
+        let _span = trace.span("canon");
+        CacheKey::for_request(
+            &graph,
+            &params.pvec,
+            params.strategy,
+            params.budget,
+            params.oracle,
+        )
+    };
     let mut routed: Option<&'static str> = None;
     if let Some(cl) = &ctx.cluster {
         if req.header(cluster::FORWARDED_HEADER).is_some() {
@@ -709,12 +758,7 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
             routed = Some("local");
         }
     }
-    // Every accepted solve runs under a live trace keyed by the request id:
-    // cache hits record just the request span, fresh solves the full phase
-    // tree (the engine snapshots per-phase totals into `stats.phases`).
-    let trace = dclab_trace::Trace::enabled();
     let outcome = {
-        let _install = trace.install();
         let mut span = trace.span("request");
         let outcome = cached_solve(ctx, &key, graph, &params);
         if let Ok((report, status)) = &outcome {
@@ -768,8 +812,10 @@ fn solve_endpoint(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
 }
 
 /// Batch body separator: a line containing only `%%`.
+#[cfg(target_os = "linux")]
 const BATCH_SEPARATOR: &str = "%%";
 
+#[cfg(target_os = "linux")]
 fn batch_endpoint(ctx: &ServeCtx, req: &Request) -> Response {
     let params = match parse_params(req, ctx.max_deadline_ms) {
         Ok(p) => p,
@@ -828,6 +874,7 @@ fn batch_endpoint(ctx: &ServeCtx, req: &Request) -> Response {
 
 /// Split a batch body into instance chunks on `%%` lines, dropping blank
 /// chunks.
+#[cfg(target_os = "linux")]
 fn split_batch(body: &str) -> Vec<&str> {
     let mut chunks = Vec::new();
     let mut start = 0usize;
@@ -846,7 +893,7 @@ fn split_batch(body: &str) -> Vec<&str> {
         .collect()
 }
 
-#[cfg(test)]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::sync::mpsc::Receiver;

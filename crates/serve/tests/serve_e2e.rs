@@ -145,6 +145,29 @@ fn oversized_restarts_return_422_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn an_oversized_vertex_count_is_a_parse_error_and_the_server_keeps_serving() {
+    // Fourteen bytes that once asked for ~2.4 TB of neighbor lists.
+    let (handle, mut client) = test_server();
+    for path in ["/solve", "/batch"] {
+        let resp = client
+            .request("POST", &format!("{path}?p=2,1"), "n 99999999999\n")
+            .unwrap();
+        let status = if path == "/solve" { 400 } else { 200 };
+        assert_eq!(resp.status, status, "{path}: {}", resp.body);
+        assert!(resp.body.contains("\"kind\":\"parse\""), "{}", resp.body);
+        assert!(
+            resp.body
+                .contains("line 1: vertex count 99999999999 exceeds the limit of 1048576"),
+            "{}",
+            resp.body
+        );
+    }
+    let health = client.request("GET", "/healthz", "").unwrap();
+    assert_eq!(health.status, 200, "server survives the request");
+    stop(handle, client);
+}
+
+#[test]
 fn unsupported_and_parse_errors_are_typed() {
     let (handle, mut client) = test_server();
     // Path graph has diameter > 2: the Theorem 2 reduction refuses.
@@ -639,6 +662,49 @@ fn request_ids_and_debug_traces() {
     assert!(metrics
         .body
         .contains("dclab_phase_seconds_count{phase=\"solve\"}"));
+    stop(handle, client);
+}
+
+#[test]
+fn cache_hits_trace_parse_and_canonicalization() {
+    let (handle, mut client) = test_server();
+    let g = classic::petersen();
+    let miss = client
+        .request("POST", "/solve?p=2,1", &graph_io::write_edge_list(&g))
+        .unwrap();
+    assert_eq!(miss.header("x-dclab-cache"), Some("miss"));
+    // The solve's own attribution leaves the pre-solve spans out.
+    assert!(!miss.body.contains("\"name\":\"parse\""), "{}", miss.body);
+    let perm = [3, 8, 0, 5, 9, 1, 7, 2, 6, 4];
+    let hit = client
+        .request_with_headers(
+            "POST",
+            "/solve?p=2,1",
+            &[("x-request-id", "e2e-hit-trace")],
+            &graph_io::write_edge_list(&g.relabeled(&perm)),
+        )
+        .unwrap();
+    assert_eq!(hit.header("x-dclab-cache"), Some("hit"), "{}", hit.body);
+
+    let full = client
+        .request("GET", "/debug/traces/e2e-hit-trace", "")
+        .unwrap();
+    assert_eq!(full.status, 200, "{}", full.body);
+    let trace = dclab_engine::json::parse(&full.body).unwrap();
+    let spans = trace.get("spans").and_then(|v| v.as_arr()).unwrap();
+    let names: Vec<&str> = spans
+        .iter()
+        .filter_map(|s| s.get("name").and_then(|v| v.as_str()))
+        .collect();
+    assert_eq!(names, ["parse", "canon", "request"], "{}", full.body);
+
+    let metrics = client.request("GET", "/metrics", "").unwrap();
+    for phase in ["parse", "canon"] {
+        let bucket = format!("dclab_phase_seconds_bucket{{phase=\"{phase}\"");
+        assert!(metrics.body.contains(&bucket), "{}", metrics.body);
+        let count = format!("dclab_phase_seconds_count{{phase=\"{phase}\"}} 2");
+        assert!(metrics.body.contains(&count), "{}", metrics.body);
+    }
     stop(handle, client);
 }
 

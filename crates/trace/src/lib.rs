@@ -49,6 +49,8 @@ pub use flight::FlightRecorder;
 /// metric set stays bounded; spans with other names still appear in traces
 /// and `stats.phases`, they just don't get a histogram.
 pub const PHASES: &[&str] = &[
+    "parse",
+    "canon",
     "request",
     "solve",
     "reduce",
@@ -194,15 +196,23 @@ impl Trace {
     }
 
     /// Aggregate completed spans by name, in first-recorded order.
+    pub fn phase_totals(&self) -> Vec<PhaseTotal> {
+        self.phase_totals_since(0)
+    }
+
+    /// [`Trace::phase_totals`] over the spans opened at or after span
+    /// `first` (ids are handed out in opening order).
     ///
     /// This is what the engine snapshots into `SolveReport.stats.phases`
-    /// right before returning: per-phase µs attribution for the solve.
-    pub fn phase_totals(&self) -> Vec<PhaseTotal> {
+    /// right before returning: per-phase µs attribution for the solve,
+    /// without the spans a caller recorded before it (serve's `parse` and
+    /// `canon`).
+    pub fn phase_totals_since(&self, first: u32) -> Vec<PhaseTotal> {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => {
                 let spans = inner.spans.lock().expect("trace arena poisoned");
-                aggregate_phases(&spans)
+                aggregate(spans.iter().filter(|s| s.id >= first))
             }
         }
     }
@@ -238,6 +248,10 @@ impl Trace {
 
 /// Aggregate a span slice by name, preserving first-seen order.
 pub fn aggregate_phases(spans: &[Span]) -> Vec<PhaseTotal> {
+    aggregate(spans.iter())
+}
+
+fn aggregate<'a>(spans: impl Iterator<Item = &'a Span>) -> Vec<PhaseTotal> {
     let mut out: Vec<PhaseTotal> = Vec::new();
     for s in spans {
         match out.iter_mut().find(|t| t.name == s.name) {
@@ -380,6 +394,12 @@ impl SpanGuard {
         self.trace.is_some()
     }
 
+    /// The span's id (0 on an inert guard).
+    #[inline]
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
     /// Attach a free-form annotation (no-op on an inert guard).
     #[inline]
     pub fn set_detail(&mut self, detail: String) {
@@ -494,6 +514,27 @@ mod tests {
         assert_eq!(totals[0].calls, 3);
         assert_eq!(totals[1].name, "bb");
         assert_eq!(totals[1].calls, 1);
+    }
+
+    #[test]
+    fn phase_totals_since_skip_earlier_spans() {
+        let t = Trace::enabled();
+        let _install = t.install();
+        {
+            let _g = current().span("parse");
+        }
+        let first = {
+            let solve = current().span("solve");
+            let _lk = current().span("lk");
+            solve.id()
+        };
+        let names: Vec<String> = t
+            .phase_totals_since(first)
+            .into_iter()
+            .map(|p| p.name)
+            .collect();
+        assert_eq!(names, ["lk", "solve"]);
+        assert_eq!(t.phase_totals().len(), 3);
     }
 
     #[test]

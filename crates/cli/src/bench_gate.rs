@@ -20,6 +20,7 @@
 //! | `trace_disabled_rounds_per_s` | BENCH_trace.json   | higher | 70% |
 //! | `oracle_bytes_per_vertex`     | BENCH_oracle.json  | lower  | 70% |
 //! | `oracle_query_ns`             | BENCH_oracle.json  | lower  | 70% |
+//! | `canon_us_n8192`              | BENCH_canon.json   | lower  | 70% |
 //!
 //! The anytime metrics are computed by `e13_anytime` over the *gated*
 //! deadline's cells only (same instance count in quick and full mode), so
@@ -196,6 +197,17 @@ const METRICS: &[MetricSpec] = &[
         higher_is_better: false,
         tolerance: 0.70,
         extract: |doc| doc.get("oracle_query_ns").and_then(Value::as_f64),
+    },
+    // Median `CanonicalForm::of` time on a relabeled
+    // core_periphery(8192, 64, 0), the cache-key cost of a relabeled
+    // repeat: raw wall time → 70% gate. e17 writes the shared bench
+    // envelope, so the value sits under `metrics`.
+    MetricSpec {
+        name: "canon_us_n8192",
+        file: "BENCH_canon.json",
+        higher_is_better: false,
+        tolerance: 0.70,
+        extract: |doc| doc.path("metrics.canon_us_n8192").and_then(Value::as_f64),
     },
 ];
 
@@ -463,5 +475,29 @@ mod tests {
         // An *improvement* (smaller span) passes.
         write(&cur, "BENCH_anytime.json", &anytime(80.0));
         bench_gate_cmd(&args).expect("improvement passes");
+    }
+
+    #[test]
+    fn canon_time_is_read_from_the_bench_envelope() {
+        let base = temp_dir("canon-base");
+        let cur = temp_dir("canon-cur");
+        let canon = |us: f64| {
+            format!(
+                "{{\"bench\":\"e17_canon\",\"schema\":1,\"commit\":\"x\",\"host\":{{\"cpus\":2}},\
+                 \"quick\":true,\"samples\":3,\"metrics\":{{\"canon_us_n8192\":{us}}}}}"
+            )
+        };
+        write(&base, "BENCH_canon.json", &canon(10000.0));
+        write(&cur, "BENCH_canon.json", &canon(16000.0)); // inside 70%
+        let args = vec![
+            "--baseline".to_string(),
+            base.to_str().unwrap().to_string(),
+            "--current".to_string(),
+            cur.to_str().unwrap().to_string(),
+        ];
+        bench_gate_cmd(&args).expect("within tolerance passes");
+        write(&cur, "BENCH_canon.json", &canon(18000.0)); // 80% slower
+        let err = bench_gate_cmd(&args).expect_err("canon regression fails");
+        assert!(err.contains("canon_us_n8192"), "{err}");
     }
 }

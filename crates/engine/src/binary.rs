@@ -98,7 +98,10 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read an unsigned LEB128 varint at `*pos`, advancing it.
+/// Read an unsigned LEB128 varint at `*pos`, advancing it. Only the
+/// minimal encoding [`put_uvarint`] writes is accepted: a varint of more
+/// than one byte whose last byte is `0x00` is an error, so every value has
+/// exactly one encoding and a decoded buffer re-encodes to itself.
 pub fn get_uvarint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -112,6 +115,9 @@ pub fn get_uvarint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
         }
         v |= ((byte & 0x7f) as u64) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(err(*pos - 1, "overlong varint"));
+            }
             return Ok(v);
         }
         shift += 7;
@@ -712,5 +718,17 @@ mod tests {
             assert_eq!(get_uvarint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
+    }
+
+    #[test]
+    fn overlong_varints_rejected() {
+        // 5, 0 and 128 padded with a trailing zero group: each decodes to
+        // a value whose encoding is shorter, so it is refused.
+        for bytes in [&[0x85, 0x00][..], &[0x80, 0x00], &[0x80, 0x81, 0x00]] {
+            let err = get_uvarint(bytes, &mut 0).expect_err("overlong");
+            assert_eq!(err.offset, bytes.len() - 1, "{bytes:02x?}");
+        }
+        // A lone zero byte is the minimal encoding of 0.
+        assert_eq!(get_uvarint(&[0x00], &mut 0), Ok(0));
     }
 }

@@ -78,10 +78,14 @@ impl StoreKey {
         };
         let n = u32::try_from(get_uvarint(bytes, pos)?)
             .map_err(|_| bad(*pos, "vertex count not a u32"))?;
-        let n_edges = get_uvarint(bytes, pos)? as usize;
-        if n_edges > bytes.len() {
+        // Every edge takes at least two bytes and every p-vector entry at
+        // least one, so a count the remaining bytes cannot hold is refused
+        // before anything is allocated for it.
+        let n_edges = get_uvarint(bytes, pos)?;
+        if n_edges > (bytes.len() - *pos) as u64 / 2 {
             return Err(bad(*pos, "edge count exceeds buffer"));
         }
+        let n_edges = n_edges as usize;
         let mut edges = Vec::with_capacity(n_edges);
         for _ in 0..n_edges {
             let u = u32::try_from(get_uvarint(bytes, pos)?)
@@ -90,10 +94,11 @@ impl StoreKey {
                 .map_err(|_| bad(*pos, "endpoint not a u32"))?;
             edges.push((u, v));
         }
-        let n_pvec = get_uvarint(bytes, pos)? as usize;
-        if n_pvec > bytes.len() {
+        let n_pvec = get_uvarint(bytes, pos)?;
+        if n_pvec > (bytes.len() - *pos) as u64 {
             return Err(bad(*pos, "p-vector length exceeds buffer"));
         }
+        let n_pvec = n_pvec as usize;
         let mut pvec = Vec::with_capacity(n_pvec);
         for _ in 0..n_pvec {
             pvec.push(get_uvarint(bytes, pos)?);

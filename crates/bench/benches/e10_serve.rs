@@ -9,38 +9,55 @@
 //!   number is the warm-p50 speedup — the whole point of the cache.
 //! * **mixed corpus** (several strategies, isomorphic relabelings,
 //!   adversarial guard 422s): the warm pass must run ≥ 90 % hits with
-//!   bit-identical report bodies.
-//!
+//!   bit-identical report bodies. The cold pass's slowest request is the
+//!   gated `serve_p99_us`.
 //! * **connection capacity**: keep-alive connections the epoll reactor
-//!   sustains concurrently, each proven live by a served request. It must
-//!   manage at least 4 × (workers + 1): four times the most a core pinning
-//!   one worker per connection could hold, with one connection queued
-//!   besides (gated as `serve_conns_sustained` in bench-gate).
+//!   sustains concurrently, each proven live by a served request, up to
+//!   `PROBE_CAP`. It must manage at least 4 × (workers + 1): four times the
+//!   most a core pinning one worker per connection could hold, with one
+//!   connection queued besides (gated as `serve_conns_sustained`).
 //! * **cluster soak**: two consistent-hash replicas under concurrent
-//!   mixed load; publishes the latency histogram (p50/p90/p99/p999),
-//!   routing tallies, and the hard-5xx count (must be zero).
+//!   mixed load; publishes latency percentiles, routing tallies, and the
+//!   hard-5xx count (must be zero).
 //!
-//! Writes machine-readable results to `BENCH_serve.json` at the workspace
-//! root and exits non-zero if the acceptance invariants fail (warm p50 at
-//! least 10× faster than cold on the exact corpus; warm hit rate ≥ 0.9;
-//! reactor capacity ≥ 4 × (workers + 1); clean cluster soak).
-//!
-//! `DCLAB_BENCH_QUICK=1` shrinks the corpora, the capacity probe cap, and
-//! the soak duration for CI.
+//! Each pass writes its request count, hit rate and median latency; a
+//! tail percentile is written only where at least ten requests lie beyond
+//! it. Writes `BENCH_serve.json` at the workspace root and exits non-zero
+//! if the acceptance invariants fail (warm p50 at least 10× faster than
+//! cold on the exact corpus; warm hit rate ≥ 0.9; reactor capacity ≥ 4 ×
+//! (workers + 1); clean cluster soak). Both modes replay the same corpora
+//! and probe; quick mode only shortens the soak.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use dclab_engine::json::{array, Obj};
+use dclab_bench::ledger::{self, Ledger};
 use dclab_serve::loadgen::{exact_corpus, mixed_corpus, run_pass, PassStats, SoakConfig};
 use dclab_serve::{loadgen, start, ServeConfig};
 
-fn pass_json(name: &str, stats: &PassStats) -> String {
-    Obj::new()
-        .str("pass", name)
-        .raw("stats", &stats.to_json())
-        .finish()
+/// Most keep-alive connections the capacity probe opens.
+const PROBE_CAP: usize = 256;
+
+/// `<prefix>_p50_us`, plus each tail percentile with at least ten of the
+/// `requests` beyond it.
+fn latencies(ledger: &mut Ledger, prefix: &str, requests: u64, pct: impl Fn(f64) -> u64) {
+    ledger.metric(&format!("{prefix}_p50_us"), pct(0.5) as f64);
+    for (q, tag, min_requests) in [
+        (0.9, "p90", 100),
+        (0.99, "p99", 1000),
+        (0.999, "p999", 10_000),
+    ] {
+        if requests >= min_requests {
+            ledger.metric(&format!("{prefix}_{tag}_us"), pct(q) as f64);
+        }
+    }
+}
+
+fn pass_metrics(ledger: &mut Ledger, pass: &str, stats: &PassStats) {
+    ledger.metric(&format!("{pass}_requests"), stats.requests as f64);
+    ledger.metric(&format!("{pass}_hit_rate"), stats.hit_rate());
+    latencies(ledger, pass, stats.requests, |q| stats.percentile_us(q));
 }
 
 /// Open keep-alive connections one at a time, each proving liveness with
@@ -86,7 +103,6 @@ fn free_addr() -> String {
 }
 
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
     let workers = 4;
     let handle = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -99,7 +115,7 @@ fn main() {
     let addr = handle.addr();
 
     // --- Exact-strategy corpus: cold (all solves) vs. warm (all hits). ---
-    let exact = exact_corpus(2024, if quick { 6 } else { 10 });
+    let exact = exact_corpus(2024, 6);
     let cold = run_pass(addr, &exact).expect("cold exact pass");
     let warm = run_pass(addr, &exact).expect("warm exact pass");
     let (cold_p50, warm_p50) = (cold.percentile_us(0.5), warm.percentile_us(0.5));
@@ -111,7 +127,7 @@ fn main() {
     );
 
     // --- Mixed corpus: warm hit rate and bit-identical reports. ---
-    let mixed = mixed_corpus(2024, if quick { 10 } else { 16 });
+    let mixed = mixed_corpus(2024, 16);
     let mixed_cold = run_pass(addr, &mixed).expect("cold mixed pass");
     let mixed_warm = run_pass(addr, &mixed).expect("warm mixed pass");
     // Gated tail latency (bench-gate `serve_p99_us`): the cold mixed pass
@@ -126,12 +142,11 @@ fn main() {
 
     // --- Connection capacity: a reactor keep-alive connection costs a ---
     // --- buffer, not a worker. ---
-    let cap_limit = if quick { 96 } else { 256 };
-    let conns_sustained = sustained_conns(addr, cap_limit);
+    let conns_sustained = sustained_conns(addr, PROBE_CAP);
     let min_conns = 4 * (workers + 1);
     println!(
         "bench e10_serve/capacity: reactor sustained {conns_sustained} keep-alive conns \
-         (probe cap {cap_limit}) on {workers} workers, gate {min_conns}"
+         (probe cap {PROBE_CAP}) on {workers} workers, gate {min_conns}"
     );
 
     // --- Two-replica cluster soak: mixed load, latency histogram, ---
@@ -155,7 +170,7 @@ fn main() {
     let soak = loadgen::soak(&SoakConfig {
         addrs: vec![replica_a.addr(), replica_b.addr()],
         connections: 8,
-        duration: Duration::from_millis(if quick { 800 } else { 2000 }),
+        duration: Duration::from_millis(if ledger::quick() { 800 } else { 2000 }),
         seed: 2024,
         instances: 12,
     })
@@ -177,30 +192,26 @@ fn main() {
     replica_a.join();
     replica_b.join();
 
-    let passes = array(vec![
-        pass_json("exact_cold", &cold),
-        pass_json("exact_warm", &warm),
-        pass_json("mixed_cold", &mixed_cold),
-        pass_json("mixed_warm", &mixed_warm),
-    ]);
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e10_serve")
-            .u64("exact_cold_p50_us", cold_p50)
-            .u64("exact_warm_p50_us", warm_p50)
-            .f64("exact_warm_speedup_p50", speedup)
-            .f64("mixed_warm_hit_rate", mixed_warm.hit_rate())
-            .u64("serve_p99_us", serve_p99_us)
-            .usize("serve_conns_sustained", conns_sustained)
-            .raw("cluster_soak", &soak.to_json())
-            .raw("passes", &passes)
-            .finish()
-    );
-    // Land at the workspace root regardless of the bench CWD.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    let mut ledger = Ledger::new("e10_serve", "BENCH_serve.json", exact.len());
+    for (pass, stats) in [
+        ("exact_cold", &cold),
+        ("exact_warm", &warm),
+        ("mixed_cold", &mixed_cold),
+        ("mixed_warm", &mixed_warm),
+    ] {
+        pass_metrics(&mut ledger, pass, stats);
+    }
+    ledger.metric("exact_warm_speedup_p50", speedup);
+    ledger.metric("serve_p99_us", serve_p99_us as f64);
+    ledger.metric("serve_conns_sustained", conns_sustained as f64);
+    ledger.metric("soak_requests", soak.requests as f64);
+    ledger.metric("soak_hit_rate", soak.hit_rate());
+    ledger.metric("soak_routing_local_rate", soak.routing_local_rate());
+    ledger.metric("soak_routed_forwarded", soak.routed_forwarded as f64);
+    ledger.metric("soak_hard_5xx", soak.hard_5xx as f64);
+    latencies(&mut ledger, "soak", soak.requests, |q| {
+        soak.percentile_us(q)
+    });
 
     handle.shutdown();
     handle.join();
@@ -255,8 +266,5 @@ fn main() {
     if soak.routed_forwarded == 0 || soak.routed_local == 0 {
         failures.push("cluster soak routing not exercised both ways".into());
     }
-    if !failures.is_empty() {
-        eprintln!("e10_serve FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    ledger.finish(&failures);
 }

@@ -3,17 +3,20 @@
 //! fanned across threads, on the paper's small-diameter G(n,p) corpus and
 //! a sparse preferential-attachment corpus, n ∈ {256, 1024, 4096}.
 //!
-//! Besides the criterion output, writes machine-readable timings to
-//! `BENCH_apsp.json` at the workspace root so the perf trajectory has an
-//! APSP baseline across PRs. Set `DCLAB_BENCH_QUICK=1` (the CI smoke
-//! mode) to skip the n = 4096 sweep.
+//! Each cell is the median of `SAMPLES` timed runs in µs
+//! (`apsp_us_<corpus>_<kernel>_n<n>`), written to `BENCH_apsp.json` at the
+//! workspace root. The gated `apsp_speedup_smalldiam_1024` is the ratio
+//! of the scalar and single-threaded bit-parallel medians on the
+//! small-diameter corpus at n = 1024. Quick mode skips the n = 4096 sweep.
 
-use criterion::{criterion_main, Criterion};
+use dclab_bench::ledger::{self, median_us, Ledger};
 use dclab_graph::generators::random;
 use dclab_graph::{DistanceMatrix, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+const SAMPLES: usize = 5;
 
 /// Dense-enough G(n,p) that the diameter lands at 2–3 — the Theorem 2
 /// regime where the distance matrix is the whole cost of the reduction.
@@ -29,64 +32,36 @@ fn ba_graph(n: usize, seed: u64) -> Graph {
     random::barabasi_albert(&mut rng, n, 8)
 }
 
-fn bench_apsp(c: &mut Criterion) {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
-    let sizes: &[usize] = if quick {
+fn main() {
+    let sizes: &[usize] = if ledger::quick() {
         &[256, 1024]
     } else {
         &[256, 1024, 4096]
     };
+    let mut ledger = Ledger::new("e11_apsp", "BENCH_apsp.json", SAMPLES);
     type Corpus = fn(usize, u64) -> Graph;
     let corpora: [(&str, Corpus); 2] = [("smalldiam", small_diameter_gnp), ("ba", ba_graph)];
     for (corpus, make) in corpora {
-        let mut group = c.benchmark_group(format!("e11_apsp_{corpus}"));
-        group.sample_size(10);
         for &n in sizes {
             let g = make(n, 0xA95F + n as u64);
-            group.bench_function(format!("scalar/{n}"), |b| {
-                b.iter(|| DistanceMatrix::compute_sequential(black_box(&g)))
+            let scalar = median_us(SAMPLES, || {
+                DistanceMatrix::compute_sequential(black_box(&g))
             });
             dclab_par::set_thread_override(Some(1));
-            group.bench_function(format!("bit64/{n}"), |b| {
-                b.iter(|| DistanceMatrix::compute(black_box(&g)))
-            });
+            let bit64 = median_us(SAMPLES, || DistanceMatrix::compute(black_box(&g)));
             dclab_par::set_thread_override(None);
-            group.bench_function(format!("bit64-threaded/{n}"), |b| {
-                b.iter(|| DistanceMatrix::compute(black_box(&g)))
-            });
+            let threaded = median_us(SAMPLES, || DistanceMatrix::compute(black_box(&g)));
+            println!(
+                "bench e11_apsp/{corpus}/{n}: scalar {scalar:.0} µs, bit64 {bit64:.0} µs, \
+                 bit64-threaded {threaded:.0} µs (medians of {SAMPLES})"
+            );
+            ledger.metric(&format!("apsp_us_{corpus}_scalar_n{n}"), scalar);
+            ledger.metric(&format!("apsp_us_{corpus}_bit64_n{n}"), bit64);
+            ledger.metric(&format!("apsp_us_{corpus}_bit64_threaded_n{n}"), threaded);
+            if corpus == "smalldiam" && n == 1024 {
+                ledger.metric("apsp_speedup_smalldiam_1024", scalar / bit64);
+            }
         }
-        group.finish();
     }
+    ledger.finish(&[]);
 }
-
-fn write_bench_json(c: &Criterion) {
-    let body: Vec<String> = c
-        .measurements()
-        .iter()
-        .map(|m| {
-            format!(
-                "{{\"id\":\"{}\",\"mean_ns\":{:.1},\"iterations\":{}}}",
-                m.id, m.mean_ns, m.iterations
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\"bench\":\"e11_apsp\",\"results\":[{}]}}\n",
-        body.join(",")
-    );
-    // Land at the workspace root regardless of the bench CWD.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_apsp.json");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("could not write {path}: {e}");
-    } else {
-        println!("wrote {path} ({} entries)", c.measurements().len());
-    }
-}
-
-fn benches_with_json() {
-    let mut criterion = Criterion::default();
-    bench_apsp(&mut criterion);
-    write_bench_json(&criterion);
-}
-
-criterion_main!(benches_with_json);

@@ -8,14 +8,14 @@
 //!   corpus, restart it on the same archive, replay — the second pass must
 //!   be hit rate 1.0 with zero fresh solves.
 //!
-//! Writes machine-readable results to `BENCH_store.json` at the workspace
-//! root and exits non-zero if the acceptance invariants fail.
-//! `DCLAB_BENCH_QUICK=1` shrinks the sweep for CI.
+//! Writes `BENCH_store.json` at the workspace root and exits non-zero if
+//! the acceptance invariants fail. Both modes run the same sweep: each
+//! number is one timed run.
 
 use std::time::Instant;
 
+use dclab_bench::ledger::Ledger;
 use dclab_core::pvec::PVec;
-use dclab_engine::json::Obj;
 use dclab_engine::{solve, Budget, OraclePolicy, SolveRequest, Strategy};
 use dclab_graph::generators::random;
 use dclab_serve::loadgen::{exact_corpus, run_pass};
@@ -33,8 +33,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
 }
 
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
-    let appends: u64 = if quick { 2_000 } else { 20_000 };
+    let appends: u64 = 20_000;
 
     // A representative record: a real solved diameter-2 instance, binary
     // encoded; per-append key uniqueness comes from the p-vector.
@@ -86,7 +85,7 @@ fn main() {
 
     // --- Warm-boot hit rate on the exact corpus. ---
     let serve_path = temp_path("warm-boot.dcst");
-    let corpus = exact_corpus(2025, if quick { 3 } else { 6 });
+    let corpus = exact_corpus(2025, 3);
     let cfg = |path: &std::path::Path| ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 4,
@@ -112,28 +111,18 @@ fn main() {
         warm.hits, warm.requests, warm.misses
     );
 
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e12_store")
-            .bool("quick", quick)
-            .u64("append_records", appends)
-            .f64("append_secs", append_secs)
-            .f64("appends_per_sec", appends_per_sec)
-            .f64("append_mb_per_sec", mb_per_sec)
-            .u64("archive_bytes", bytes)
-            .f64("cold_open_secs", open_secs)
-            .u64("cold_open_records", open_stats.live)
-            .f64("warm_boot_secs", warm_boot_secs)
-            .u64("warm_requests", warm.requests)
-            .u64("warm_hits", warm.hits)
-            .u64("warm_fresh_solves", warm.misses)
-            .f64("warm_hit_rate", warm_hit_rate)
-            .finish()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    std::fs::write(path, &json).expect("write BENCH_store.json");
-    println!("wrote {path}");
+    let mut ledger = Ledger::new("e12_store", "BENCH_store.json", 1);
+    ledger.metric("append_records", appends as f64);
+    ledger.metric("append_secs", append_secs);
+    ledger.metric("store_appends_per_sec", appends_per_sec);
+    ledger.metric("append_mb_per_sec", mb_per_sec);
+    ledger.metric("archive_bytes", bytes as f64);
+    ledger.metric("cold_open_secs", open_secs);
+    ledger.metric("cold_open_records", open_stats.live as f64);
+    ledger.metric("warm_boot_secs", warm_boot_secs);
+    ledger.metric("warm_requests", warm.requests as f64);
+    ledger.metric("warm_fresh_solves", warm.misses as f64);
+    ledger.metric("store_warm_hit_rate", warm_hit_rate);
 
     // Acceptance invariants (ISSUE 4): fail loudly.
     let mut failures = Vec::new();
@@ -153,8 +142,5 @@ fn main() {
             warm.misses
         ));
     }
-    if !failures.is_empty() {
-        eprintln!("e12_store FAILED: {}", failures.join("; "));
-        std::process::exit(1);
-    }
+    ledger.finish(&failures);
 }

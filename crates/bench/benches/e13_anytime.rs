@@ -4,9 +4,9 @@
 //!   `Strategy::Auto` at a sweep of wall-clock deadlines on n = 512
 //!   Griggs–Yeh (Theorem 3) instances — diameter-2, adversarial for exact
 //!   search;
-//! * **race-vs-single win rate**: fraction of (deadline × instance) cells
-//!   where the racing portfolio's harvested span is no worse than the
-//!   single-strategy `Auto` dispatch at the same deadline;
+//! * **race-vs-single win rate**: fraction of instances where the racing
+//!   portfolio's harvested span is no worse than the single-strategy
+//!   `Auto` dispatch at the same deadline;
 //! * **deadline discipline**: every race solve must return a valid
 //!   labeling within 2× its deadline (the ISSUE 5 acceptance gate,
 //!   asserted for deadlines ≥ 50 ms where the fixed reduction/feature
@@ -18,16 +18,17 @@
 //!   optimal (the pre-ladder baseline proved exactly one, so ≥ 2 means at
 //!   least one instance that used to time out now closes).
 //!
-//! Writes machine-readable results to `BENCH_anytime.json` at the
-//! workspace root (gated by `dclab bench-gate` in CI from day one) and
-//! exits non-zero if an acceptance invariant fails.
-//! `DCLAB_BENCH_QUICK=1` shrinks the sweep for CI.
+//! Writes `BENCH_anytime.json` at the workspace root and exits non-zero
+//! if an acceptance invariant fails. Each deadline's cells are written as
+//! `<metric>_<deadline>ms`; the gated metrics restate the gated deadline's,
+//! which both modes run on the same corpus. Full mode adds the other
+//! deadlines.
 
 use std::time::Instant;
 
+use dclab_bench::ledger::{self, median, Ledger};
 use dclab_bench::{hardness_diam2, l21};
 use dclab_core::bounds::BoundKind;
-use dclab_engine::json::Obj;
 use dclab_engine::{solve, Budget, SolveReport, SolveRequest, Strategy};
 
 const N: usize = 512;
@@ -64,43 +65,26 @@ fn race_solve(g: &dclab_graph::Graph, deadline_ms: u64) -> (SolveReport, f64) {
     }
 }
 
-fn median(values: &mut [u64]) -> u64 {
-    values.sort_unstable();
-    values[values.len() / 2]
-}
-
-fn median_f64(values: &mut [f64]) -> f64 {
-    values.sort_by(|a, b| a.partial_cmp(b).expect("gaps are finite"));
-    values[values.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
-    let deadlines: &[u64] = if quick { &[50] } else { &[5, 20, 50, 200] };
-    // Same corpus size in both modes: the gated win rate and median are
-    // computed over the gated deadline's cells only, so quick-mode CI
-    // output is directly comparable to the committed full-mode baseline.
+    let deadlines: &[u64] = if ledger::quick() {
+        &[GATED_DEADLINE_MS]
+    } else {
+        &[5, 20, GATED_DEADLINE_MS, 200]
+    };
     let instances = 5;
     let corpus: Vec<dclab_graph::Graph> = (0..instances)
         .map(|i| hardness_diam2(N, 0xE13 + i as u64))
         .collect();
 
+    let mut ledger = Ledger::new("e13_anytime", "BENCH_anytime.json", instances);
     let mut failures: Vec<String> = Vec::new();
-    let mut race_wins = 0usize;
-    let mut cells = 0usize;
-    let mut gated_race_wins = 0usize;
-    let mut gated_cells = 0usize;
-    let mut per_deadline = Vec::new();
-    let mut headline_race_median = 0u64;
-    let mut headline_auto_median = 0u64;
-    let mut headline_gap_max = 0.0f64;
-    let mut headline_proved = 0u64;
 
     for &dl in deadlines {
         let mut race_spans = Vec::with_capacity(corpus.len());
         let mut auto_spans = Vec::with_capacity(corpus.len());
         let mut race_wall_max: f64 = 0.0;
         let mut timeouts = 0usize;
+        let mut wins = 0usize;
         let mut winners: Vec<&'static str> = Vec::new();
         let mut gaps: Vec<f64> = Vec::with_capacity(corpus.len());
         let mut kinds: Vec<&'static str> = Vec::new();
@@ -137,33 +121,40 @@ fn main() {
                     ));
                 }
             }
-            cells += 1;
-            let won = race.solution.span <= auto.solution.span;
-            if won {
-                race_wins += 1;
-            }
-            if dl == GATED_DEADLINE_MS {
-                gated_cells += 1;
-                if won {
-                    gated_race_wins += 1;
-                }
-            }
+            wins += usize::from(race.solution.span <= auto.solution.span);
             if dl >= GATED_DEADLINE_MS && race_ms > 2.0 * dl as f64 {
                 failures.push(format!(
                     "instance {i}: race at {dl} ms took {race_ms:.1} ms (> 2× deadline)"
                 ));
             }
-            race_spans.push(race.solution.span);
-            auto_spans.push(auto.solution.span);
+            race_spans.push(race.solution.span as f64);
+            auto_spans.push(auto.solution.span as f64);
         }
         let race_median = median(&mut race_spans);
         let auto_median = median(&mut auto_spans);
         let gap_max = gaps.iter().cloned().fold(0.0f64, f64::max);
-        let gap_median = median_f64(&mut gaps);
+        let gap_median = median(&mut gaps);
         if dl >= GATED_DEADLINE_MS && race_median > auto_median {
             failures.push(format!(
                 "race median span {race_median} above auto median {auto_median} at {dl} ms"
             ));
+        }
+        println!(
+            "bench e13_anytime/deadline {dl:>4} ms: race median span {race_median:>6} \
+             vs auto {auto_median:>6} | gap median {gap_median:.4} max {gap_max:.4} | \
+             {proved} proved | race wall max {race_wall_max:>7.1} ms | \
+             {timeouts}/{} timed out | winners {winners:?} | bounds {kinds:?}",
+            corpus.len()
+        );
+        for (metric, value) in [
+            ("race_median_span", race_median),
+            ("auto_median_span", auto_median),
+            ("race_gap_median", gap_median),
+            ("race_proved", proved as f64),
+            ("race_timeouts", timeouts as f64),
+            ("race_wins", wins as f64),
+        ] {
+            ledger.metric(&format!("{metric}_{dl}ms"), value);
         }
         if dl == GATED_DEADLINE_MS {
             // The optimality-closure acceptance gate: the pre-ladder
@@ -176,78 +167,16 @@ fn main() {
                     corpus.len()
                 ));
             }
+            let win_rate = wins as f64 / corpus.len() as f64;
+            println!(
+                "bench e13_anytime/summary: race-vs-single win rate {win_rate:.3} \
+                 at the gated deadline; race median span {race_median} (auto {auto_median})"
+            );
+            ledger.metric("anytime_race_win_rate", win_rate);
+            ledger.metric("anytime_race_median_span", race_median);
+            ledger.metric("anytime_gap_at_50ms", gap_max);
+            ledger.metric("race_proved_n512", proved as f64);
         }
-        if dl == GATED_DEADLINE_MS
-            || (headline_race_median == 0 && dl == *deadlines.last().unwrap())
-        {
-            headline_race_median = race_median;
-            headline_auto_median = auto_median;
-            headline_gap_max = gap_max;
-            headline_proved = proved as u64;
-        }
-        println!(
-            "bench e13_anytime/deadline {dl:>4} ms: race median span {race_median:>6} \
-             vs auto {auto_median:>6} | gap median {gap_median:.4} max {gap_max:.4} | \
-             {proved} proved | race wall max {race_wall_max:>7.1} ms | \
-             {timeouts}/{} timed out | winners {winners:?} | bounds {kinds:?}",
-            corpus.len()
-        );
-        per_deadline.push(
-            Obj::new()
-                .u64("deadline_ms", dl)
-                .usize("instances", corpus.len())
-                .u64("race_median_span", race_median)
-                .u64("auto_median_span", auto_median)
-                .f64("race_gap_median", gap_median)
-                .f64("race_gap_max", gap_max)
-                .usize("race_proved", proved)
-                .f64("race_wall_ms_max", race_wall_max)
-                .usize("race_timeouts", timeouts)
-                .str_array("race_winners", winners.iter().copied())
-                .str_array("race_bound_kinds", kinds.iter().copied())
-                .finish(),
-        );
     }
-
-    let race_win_rate_sweep = race_wins as f64 / cells.max(1) as f64;
-    // The *gated* win rate covers only the gated deadline's cells — the
-    // one slice both quick and full mode measure identically, so the CI
-    // regression gate compares like with like.
-    let race_win_rate = gated_race_wins as f64 / gated_cells.max(1) as f64;
-    println!(
-        "bench e13_anytime/summary: race-vs-single win rate {race_win_rate:.3} \
-         at the gated deadline ({race_win_rate_sweep:.3} over all {cells} cells); \
-         race median span {headline_race_median} (auto {headline_auto_median})"
-    );
-
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e13_anytime")
-            .bool("quick", quick)
-            .usize("n", N)
-            .usize("instances", instances)
-            .f64("race_win_rate", race_win_rate)
-            .f64("race_win_rate_sweep", race_win_rate_sweep)
-            .u64("race_median_span", headline_race_median)
-            .u64("auto_median_span", headline_auto_median)
-            .f64("anytime_gap_at_50ms", headline_gap_max)
-            .u64("race_proved_n512", headline_proved)
-            .u64("gated_deadline_ms", GATED_DEADLINE_MS)
-            .raw("deadlines", &dclab_engine::json::array(per_deadline))
-            .finish()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_anytime.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !failures.is_empty() {
-        eprintln!("e13_anytime acceptance FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(&failures);
 }

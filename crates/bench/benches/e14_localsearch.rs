@@ -18,15 +18,15 @@
 //!   10% of the scalar pipeline's (they may differ tour-by-tour: kick-local
 //!   don't-look seeding explores slightly differently).
 //!
-//! Writes `BENCH_localsearch.json` at the workspace root (gated by
-//! `dclab bench-gate` in CI) and exits non-zero on acceptance failure.
-//! `DCLAB_BENCH_QUICK=1` shrinks the schedule for CI.
+//! Writes `BENCH_localsearch.json` at the workspace root and exits
+//! non-zero on acceptance failure. Both modes run the same schedule, so
+//! the gated `localsearch_speedup_n512` compares like with like.
 
 use std::time::Instant;
 
+use dclab_bench::ledger::{median, Ledger};
 use dclab_bench::{hardness_diam2, l21};
 use dclab_core::reduction::reduce_to_path_tsp;
-use dclab_engine::json::Obj;
 use dclab_par::Deadline;
 use dclab_tsp::lk::{chained_lk_scalar, chained_lk_with_candidates, ChainedLkConfig};
 use dclab_tsp::localsearch::CandidateLists;
@@ -36,18 +36,8 @@ use rand::SeedableRng;
 
 const N: usize = 512;
 
-fn median(values: &mut [u64]) -> u64 {
-    values.sort_unstable();
-    values[values.len() / 2]
-}
-
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
-    let (instances, kicks, reps) = if quick {
-        (2usize, 10usize, 2usize)
-    } else {
-        (5, 30, 3)
-    };
+    let (instances, kicks, reps) = (5usize, 30usize, 3usize);
 
     // The corpus LK actually sees: Theorem 3 hardness graphs reduced to
     // Path TSP, solved as cycles on the dummy-extended instance.
@@ -71,8 +61,8 @@ fn main() {
     // --- headline: identical kick schedules, scalar vs SoA -------------
     let mut fast_best_s = f64::INFINITY;
     let mut scalar_best_s = f64::INFINITY;
-    let mut fast_spans: Vec<u64> = Vec::new();
-    let mut scalar_spans: Vec<u64> = Vec::new();
+    let mut fast_spans: Vec<f64> = Vec::new();
+    let mut scalar_spans: Vec<f64> = Vec::new();
     for _ in 0..reps {
         fast_spans.clear();
         let t0 = Instant::now();
@@ -80,7 +70,7 @@ fn main() {
             let cands = CandidateLists::build(ext, cfg.local.neighbor_k);
             let mut rng = StdRng::seed_from_u64(0xE14 + i as u64);
             let (_, w) = chained_lk_with_candidates(ext, 0, &cfg, &cands, &mut rng);
-            fast_spans.push(w);
+            fast_spans.push(w as f64);
         }
         fast_best_s = fast_best_s.min(t0.elapsed().as_secs_f64());
 
@@ -89,7 +79,7 @@ fn main() {
         for (i, ext) in corpus.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(0xE14 + i as u64);
             let (_, w) = chained_lk_scalar(ext, 0, &cfg, &mut rng);
-            scalar_spans.push(w);
+            scalar_spans.push(w as f64);
         }
         scalar_best_s = scalar_best_s.min(t0.elapsed().as_secs_f64());
     }
@@ -101,13 +91,9 @@ fn main() {
          vs scalar {scalar_rounds_per_s:.1} rounds/s — speedup {speedup:.2}x"
     );
     // The cross-machine floor is the bench-gate's 70% tolerance on the
-    // committed baseline; here we enforce the ROADMAP bar directly (with
-    // headroom for the tiny quick schedule, where fixed costs weigh more).
-    let bar = if quick { 2.0 } else { 3.0 };
-    if speedup < bar {
-        failures.push(format!(
-            "speedup {speedup:.2}x below the {bar}x acceptance bar"
-        ));
+    // committed baseline; here we enforce the ROADMAP bar directly.
+    if speedup < 3.0 {
+        failures.push(format!("speedup {speedup:.2}x below the 3x acceptance bar"));
     }
 
     // --- quality guard -------------------------------------------------
@@ -117,7 +103,7 @@ fn main() {
         "bench e14_localsearch/quality: SoA median span {fast_median} \
          vs scalar {scalar_median}"
     );
-    if fast_median as f64 > scalar_median as f64 * 1.10 {
+    if fast_median > scalar_median * 1.10 {
         failures.push(format!(
             "SoA median span {fast_median} more than 10% above scalar {scalar_median}"
         ));
@@ -127,7 +113,7 @@ fn main() {
     let ext = &corpus[0];
     let mut build_best_s = f64::INFINITY;
     let mut sort_best_s = f64::INFINITY;
-    for _ in 0..reps.max(3) {
+    for _ in 0..reps {
         let t0 = Instant::now();
         let cl = CandidateLists::build(ext, 10);
         build_best_s = build_best_s.min(t0.elapsed().as_secs_f64());
@@ -172,34 +158,13 @@ fn main() {
         ));
     }
 
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e14_localsearch")
-            .bool("quick", quick)
-            .usize("n", N)
-            .usize("instances", instances)
-            .usize("kicks", kicks)
-            .f64("fast_rounds_per_s", fast_rounds_per_s)
-            .f64("scalar_rounds_per_s", scalar_rounds_per_s)
-            .f64("speedup", speedup)
-            .f64("build_speedup", build_speedup)
-            .u64("fast_median_span", fast_median)
-            .u64("scalar_median_span", scalar_median)
-            .f64("deadline_overshoot_ms", overshoot_best_ms)
-            .finish()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_localsearch.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !failures.is_empty() {
-        eprintln!("e14_localsearch acceptance FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mut ledger = Ledger::new("e14_localsearch", "BENCH_localsearch.json", reps);
+    ledger.metric("fast_rounds_per_s", fast_rounds_per_s);
+    ledger.metric("scalar_rounds_per_s", scalar_rounds_per_s);
+    ledger.metric("localsearch_speedup_n512", speedup);
+    ledger.metric("build_speedup", build_speedup);
+    ledger.metric("fast_median_span", fast_median);
+    ledger.metric("scalar_median_span", scalar_median);
+    ledger.metric("deadline_overshoot_ms", overshoot_best_ms);
+    ledger.finish(&failures);
 }

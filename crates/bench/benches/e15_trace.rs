@@ -23,15 +23,15 @@
 //!   stay in the noise at solve granularity.
 //!
 //! Writes `BENCH_trace.json` at the workspace root; bench-gate holds
-//! `disabled_rounds_per_s` to the committed baseline (loose 70% — raw
-//! throughput) while the overhead ratios are gated *here*, machine-
-//! relatively, on every run. `DCLAB_BENCH_QUICK=1` shrinks the schedule.
+//! `trace_disabled_rounds_per_s` to the committed baseline (loose 70% —
+//! raw throughput) while the overhead ratios are gated *here*, machine-
+//! relatively, on every run. Both modes run the same schedule.
 
 use std::time::Instant;
 
+use dclab_bench::ledger::{median, Ledger};
 use dclab_bench::{hardness_diam2, l21};
 use dclab_core::reduction::reduce_to_path_tsp;
-use dclab_engine::json::Obj;
 use dclab_tsp::lk::{chained_lk_untraced, chained_lk_with_candidates, ChainedLkConfig};
 use dclab_tsp::localsearch::CandidateLists;
 use dclab_tsp::TspInstance;
@@ -43,15 +43,10 @@ const N: usize = 512;
 type Runs = Vec<(Vec<u32>, u64)>;
 
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
     // A full corpus pass is only a few milliseconds, so single-rep wall
     // clocks are noise-dominated; the gates use minima over many
     // interleaved reps, which converge on the true cost.
-    let (instances, kicks, reps) = if quick {
-        (2usize, 10usize, 15usize)
-    } else {
-        (5, 30, 40)
-    };
+    let (instances, kicks, reps) = (5usize, 30usize, 40usize);
 
     let corpus: Vec<TspInstance> = (0..instances)
         .map(|i| {
@@ -134,11 +129,6 @@ fn main() {
             .len();
     }
 
-    let median = |xs: &mut Vec<f64>| -> f64 {
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        xs[xs.len() / 2]
-    };
-
     let mut failures: Vec<String> = Vec::new();
 
     // --- bit-identity: tracing never perturbs the search ----------------
@@ -180,33 +170,12 @@ fn main() {
         ));
     }
 
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e15_trace")
-            .bool("quick", quick)
-            .usize("n", N)
-            .usize("instances", instances)
-            .usize("kicks", kicks)
-            .f64("untraced_rounds_per_s", untraced_rounds_per_s)
-            .f64("disabled_rounds_per_s", disabled_rounds_per_s)
-            .f64("enabled_rounds_per_s", enabled_rounds_per_s)
-            .f64("disabled_overhead", disabled_overhead)
-            .f64("enabled_overhead", enabled_overhead)
-            .usize("spans_recorded", spans_recorded)
-            .finish()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !failures.is_empty() {
-        eprintln!("e15_trace acceptance FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    let mut ledger = Ledger::new("e15_trace", "BENCH_trace.json", reps);
+    ledger.metric("untraced_rounds_per_s", untraced_rounds_per_s);
+    ledger.metric("trace_disabled_rounds_per_s", disabled_rounds_per_s);
+    ledger.metric("enabled_rounds_per_s", enabled_rounds_per_s);
+    ledger.metric("disabled_overhead", disabled_overhead);
+    ledger.metric("enabled_overhead", enabled_overhead);
+    ledger.metric("spans_recorded", spans_recorded as f64);
+    ledger.finish(&failures);
 }

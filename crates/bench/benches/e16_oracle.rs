@@ -16,32 +16,36 @@
 //!   schedule (`oracle_query_ns`, gated at 70%: raw wall time);
 //! * **agreement** — a dense-backed and a hub-backed engine solve of the
 //!   same instance must return identical labelings, spans, bounds, and
-//!   query counts (quick mode, where the dense matrix still fits);
+//!   query counts (at n = 2 000);
 //! * **certificate** — the hub solve must be proved optimal: the core's
 //!   universal vertices give Corollary 2's bound, which meets the span
 //!   (`lower_bound` is recorded beside `span`).
 //!
-//! Full mode additionally runs the end-to-end engine solve at
-//! n = 50 000 — a size where the dense pipeline would need > 8 GiB and
-//! only the oracle path is on the table — and checks the `Auto` policy
-//! resolves to hub labels there. Writes `BENCH_oracle.json` at the
-//! workspace root. `DCLAB_BENCH_QUICK=1` shrinks n to 2000 (CI smoke).
+//! Both modes measure the gated cell at n = 2 000, where the dense matrix
+//! still fits, and write each of its numbers as `<metric>_n2000` (the two
+//! gated ones also bare). Full mode adds the cell at n = 50 000 — a size
+//! where the dense pipeline would need > 8 GiB and only the oracle path is
+//! on the table — and checks the `Auto` policy resolves to hub labels
+//! there. Writes `BENCH_oracle.json` at the workspace root.
 
 use std::time::Instant;
 
+use dclab_bench::ledger::{self, median, Ledger};
 use dclab_core::distance::DistanceSource;
 use dclab_core::pvec::PVec;
-use dclab_engine::json::Obj;
-use dclab_engine::{solve, OraclePolicy, SolveRequest, Strategy};
+use dclab_engine::{solve, OraclePolicy, SolveReport, SolveRequest, Strategy};
 use dclab_graph::generators::random;
+use dclab_graph::Graph;
 use dclab_oracle::{dense_matrix_bytes, dense_pipeline_bytes, HubLabels};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const CORE: usize = 64;
 const SEED: u64 = 0xE16;
+/// The gated cell's size, measured in both modes.
+const GATED_N: usize = 2_000;
 
-fn oracle_request(g: &dclab_graph::Graph, policy: OraclePolicy) -> SolveRequest {
+fn oracle_request(g: &Graph, policy: OraclePolicy) -> SolveRequest {
     SolveRequest {
         graph: g.clone(),
         pvec: PVec::l21(),
@@ -51,19 +55,21 @@ fn oracle_request(g: &dclab_graph::Graph, policy: OraclePolicy) -> SolveRequest 
     }
 }
 
-fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
-    let (n, queries) = if quick {
-        (2_000usize, 200_000usize)
-    } else {
-        (50_000, 2_000_000)
-    };
+/// One measured size: the bench instance, its labels, the pre-drawn query
+/// schedule and the hub-backed engine solve.
+struct Cell {
+    g: Graph,
+    labels: HubLabels,
+    pairs: Vec<(u32, u32)>,
+    hub: SolveReport,
+}
 
+/// Build, time and check the hub labels and the hub-backed solve of the
+/// n-vertex bench instance; records `<metric>_n<n>`.
+fn cell(n: usize, queries: usize, ledger: &mut Ledger, failures: &mut Vec<String>) -> Cell {
     let mut rng = StdRng::seed_from_u64(SEED);
     let g = random::core_periphery(&mut rng, n, CORE, 0.0);
     let m = g.m();
-
-    let mut failures: Vec<String> = Vec::new();
 
     // --- label build + compactness --------------------------------------
     // Three timed builds: `build_ms` is their median, and the build is
@@ -80,14 +86,15 @@ fn main() {
                 first = Some((labels, bytes));
             }
             Some((_, bytes)) if labels.to_bytes() != *bytes => {
-                failures.push("three builds of the same graph gave different labels".into());
+                failures.push(format!(
+                    "n={n}: three builds of the same graph gave different labels"
+                ));
             }
             Some(_) => {}
         }
     }
     let (labels, _) = first.expect("three builds ran");
-    build_ms.sort_by(f64::total_cmp);
-    let build_ms = build_ms[1];
+    let build_ms = median(&mut build_ms);
     let footprint = labels.footprint_bytes();
     let bytes_per_vertex = footprint as f64 / n as f64;
     let footprint_pct = footprint as f64 * 100.0 / dense_matrix_bytes(n) as f64;
@@ -119,7 +126,7 @@ fn main() {
         };
         if labels.query(u, v) != expect {
             failures.push(format!(
-                "query({u}, {v}) = {} ≠ {expect}",
+                "n={n}: query({u}, {v}) = {} ≠ {expect}",
                 labels.query(u, v)
             ));
             break;
@@ -127,9 +134,6 @@ fn main() {
     }
 
     // --- engine solve over the oracle path ------------------------------
-    // Quick mode keeps the dense twin (16 MB matrix at n = 2000) as a
-    // differential oracle; full mode is hub-only — the dense pipeline
-    // would need dense_pipeline_bytes(n) ≈ 28 GiB.
     let t0 = Instant::now();
     let hub_report = solve(&oracle_request(&g, OraclePolicy::Hub)).expect("hub solve succeeds");
     let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -139,7 +143,7 @@ fn main() {
     // prices the span exactly: (n−1)·p₂ + (p₁−p₂)·64.
     if !hub_report.optimal {
         failures.push(format!(
-            "hub solve not proved optimal: span {span}, lower bound {lower_bound}"
+            "n={n}: hub solve not proved optimal: span {span}, lower bound {lower_bound}"
         ));
     }
     let ostats = hub_report
@@ -148,60 +152,16 @@ fn main() {
         .as_ref()
         .expect("oracle-path solve reports oracle stats");
     if ostats.backend != "hub" {
-        failures.push(format!("hub solve reported backend '{}'", ostats.backend));
-    }
-    if quick {
-        let dense_report =
-            solve(&oracle_request(&g, OraclePolicy::Dense)).expect("dense solve succeeds");
-        if dense_report.solution.labeling != hub_report.solution.labeling
-            || dense_report.solution.span != span
-        {
-            failures.push("dense- and hub-backed solutions differ".into());
-        }
-        if dense_report.lower_bound != hub_report.lower_bound {
-            failures.push("dense- and hub-backed lower bounds differ".into());
-        }
-        let dq = dense_report.stats.oracle.as_ref().map(|o| o.queries);
-        if dq != Some(ostats.queries) {
-            failures.push(format!(
-                "query counts diverge across backends: dense {dq:?}, hub {}",
-                ostats.queries
-            ));
-        }
-        // The bench's pair schedule against the matrix, point by point.
-        let dense = DistanceSource::build_dense(&g);
-        for &(u, v) in pairs.iter().take(1024) {
-            if labels.query(u as usize, v as usize) != dense.query(u as usize, v as usize) {
-                failures.push(format!("hub and dense disagree at ({u}, {v})"));
-                break;
-            }
-        }
-    } else {
-        // Past the memory wall `Auto` must resolve to hub labels.
-        let auto_report =
-            solve(&oracle_request(&g, OraclePolicy::Auto)).expect("auto solve succeeds");
-        let auto_backend = auto_report.stats.oracle.as_ref().map(|o| o.backend.clone());
-        if auto_backend.as_deref() != Some("hub") {
-            failures.push(format!(
-                "Auto policy at n={n} picked {auto_backend:?}, expected hub"
-            ));
-        }
-        if auto_report.solution.span != span {
-            failures.push("Auto- and Hub-policy spans differ".into());
-        }
-        if dense_pipeline_bytes(n) <= 8 << 30 {
-            failures.push(format!(
-                "full-mode n={n} no longer demonstrates the memory wall \
-                 (dense pipeline {} GiB ≤ 8 GiB)",
-                dense_pipeline_bytes(n) >> 30
-            ));
-        }
+        failures.push(format!(
+            "n={n}: hub solve reported backend '{}'",
+            ostats.backend
+        ));
     }
 
     // --- headline acceptance: the footprint trade -----------------------
     if footprint * 20 > dense_matrix_bytes(n) {
         failures.push(format!(
-            "hub footprint {footprint} B exceeds 5% of the dense matrix ({} B)",
+            "n={n}: hub footprint {footprint} B exceeds 5% of the dense matrix ({} B)",
             dense_matrix_bytes(n)
         ));
     }
@@ -212,41 +172,90 @@ fn main() {
          query {query_ns:.0} ns, solve {solve_ms:.0} ms span={span} \
          lower_bound={lower_bound} (checksum {checksum})"
     );
-
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e16_oracle")
-            .bool("quick", quick)
-            .usize("n", n)
-            .usize("m", m)
-            .usize("core", CORE)
-            .f64("build_ms", build_ms)
-            .u64("label_entries", labels.label_entries() as u64)
-            .usize("max_label_size", labels.max_label_len())
-            .u64("footprint_bytes", footprint)
-            .u64("dense_matrix_bytes", dense_matrix_bytes(n))
-            .u64("dense_pipeline_bytes", dense_pipeline_bytes(n))
-            .f64("footprint_pct_of_dense", footprint_pct)
-            .f64("oracle_bytes_per_vertex", bytes_per_vertex)
-            .f64("oracle_query_ns", query_ns)
-            .f64("solve_ms", solve_ms)
-            .u64("span", span)
-            .u64("lower_bound", lower_bound)
-            .u64("solve_queries", ostats.queries)
-            .finish()
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_oracle.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    for (metric, value) in [
+        ("m", m as f64),
+        ("build_ms", build_ms),
+        ("label_entries", labels.label_entries() as f64),
+        ("max_label_size", labels.max_label_len() as f64),
+        ("footprint_bytes", footprint as f64),
+        ("footprint_pct_of_dense", footprint_pct),
+        ("oracle_bytes_per_vertex", bytes_per_vertex),
+        ("oracle_query_ns", query_ns),
+        ("solve_ms", solve_ms),
+        ("span", span as f64),
+        ("lower_bound", lower_bound as f64),
+        ("solve_queries", ostats.queries as f64),
+    ] {
+        ledger.metric(&format!("{metric}_n{n}"), value);
     }
+    if n == GATED_N {
+        ledger.metric("oracle_bytes_per_vertex", bytes_per_vertex);
+        ledger.metric("oracle_query_ns", query_ns);
+    }
+    Cell {
+        g,
+        labels,
+        pairs,
+        hub: hub_report,
+    }
+}
 
-    if !failures.is_empty() {
-        eprintln!("e16_oracle acceptance FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
+fn main() {
+    let mut ledger = Ledger::new("e16_oracle", "BENCH_oracle.json", 3);
+    let mut failures: Vec<String> = Vec::new();
+
+    // The gated cell keeps the dense twin (16 MB matrix at n = 2000) as a
+    // differential oracle.
+    let small = cell(GATED_N, 200_000, &mut ledger, &mut failures);
+    let dense_report =
+        solve(&oracle_request(&small.g, OraclePolicy::Dense)).expect("dense solve succeeds");
+    if dense_report.solution.labeling != small.hub.solution.labeling
+        || dense_report.solution.span != small.hub.solution.span
+    {
+        failures.push("dense- and hub-backed solutions differ".into());
+    }
+    if dense_report.lower_bound != small.hub.lower_bound {
+        failures.push("dense- and hub-backed lower bounds differ".into());
+    }
+    let dq = dense_report.stats.oracle.as_ref().map(|o| o.queries);
+    let hq = small.hub.stats.oracle.as_ref().map(|o| o.queries);
+    if dq != hq {
+        failures.push(format!(
+            "query counts diverge across backends: dense {dq:?}, hub {hq:?}"
+        ));
+    }
+    // The bench's pair schedule against the matrix, point by point.
+    let dense = DistanceSource::build_dense(&small.g);
+    for &(u, v) in small.pairs.iter().take(1024) {
+        let (u, v) = (u as usize, v as usize);
+        if small.labels.query(u, v) != dense.query(u, v) {
+            failures.push(format!("hub and dense disagree at ({u}, {v})"));
+            break;
         }
-        std::process::exit(1);
     }
+
+    if !ledger::quick() {
+        // Past the memory wall `Auto` must resolve to hub labels.
+        let n = 50_000;
+        let large = cell(n, 2_000_000, &mut ledger, &mut failures);
+        let auto_report =
+            solve(&oracle_request(&large.g, OraclePolicy::Auto)).expect("auto solve succeeds");
+        let auto_backend = auto_report.stats.oracle.as_ref().map(|o| o.backend.clone());
+        if auto_backend.as_deref() != Some("hub") {
+            failures.push(format!(
+                "Auto policy at n={n} picked {auto_backend:?}, expected hub"
+            ));
+        }
+        if auto_report.solution.span != large.hub.solution.span {
+            failures.push("Auto- and Hub-policy spans differ".into());
+        }
+        if dense_pipeline_bytes(n) <= 8 << 30 {
+            failures.push(format!(
+                "full-mode n={n} no longer demonstrates the memory wall \
+                 (dense pipeline {} GiB ≤ 8 GiB)",
+                dense_pipeline_bytes(n) >> 30
+            ));
+        }
+    }
+    ledger.finish(&failures);
 }

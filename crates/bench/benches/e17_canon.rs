@@ -19,16 +19,13 @@
 //!
 //! The bench fails if a relabeling of a twin-only base canonizes to other
 //! edges than the base, or if any relabeling changes the hash. It writes
-//! `BENCH_canon.json` at the workspace root in the common envelope
-//! `{bench, schema, commit, host: {cpus}, quick, samples, metrics}`.
-//! `DCLAB_BENCH_QUICK=1` takes 3 samples per cell and drops the full-mode
-//! sizes.
+//! `BENCH_canon.json` at the workspace root. Quick mode takes 3 samples
+//! per cell and drops the full-mode sizes.
 
-use std::process::Command;
 use std::time::Instant;
 
 use dclab_bench::hardness_diam2;
-use dclab_engine::json::Obj;
+use dclab_bench::ledger::{self, median, Ledger};
 use dclab_graph::generators::random;
 use dclab_graph::{CanonicalForm, Graph};
 use rand::rngs::StdRng;
@@ -74,28 +71,11 @@ const CORPORA: &[Corpus] = &[
     },
 ];
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
-/// `git rev-parse HEAD` of the working directory, or `unknown`.
-fn commit() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or("unknown".into(), |o| {
-            String::from_utf8_lossy(&o.stdout).trim().to_string()
-        })
-}
-
 fn main() {
-    let quick = std::env::var("DCLAB_BENCH_QUICK").is_ok();
+    let quick = ledger::quick();
     let samples = if quick { 3 } else { 9 };
+    let mut ledger = Ledger::new("e17_canon", "BENCH_canon.json", samples);
     let mut failures: Vec<String> = Vec::new();
-    let mut metrics = Obj::new();
     let mut headline = None;
     for corpus in CORPORA {
         let extra = if quick { &[][..] } else { corpus.full_sizes };
@@ -126,49 +106,22 @@ fn main() {
                     corpus.name
                 ));
             }
-            let us = median(times);
+            let us = median(&mut times);
             println!(
                 "bench e17_canon/{}/{n}: m={} median {us:.0} µs over {samples} relabelings \
                  ({moved} canonized differently)",
                 corpus.name,
                 base.m()
             );
-            metrics = metrics.f64(&format!("canon_us_{}_n{n}", corpus.name), us);
+            ledger.metric(&format!("canon_us_{}_n{n}", corpus.name), us);
             if corpus.name == "cp" && n == 8192 {
                 headline = Some(us);
             }
         }
     }
-    let headline = headline.expect("the cp corpus runs at n = 8192");
-    let host = Obj::new()
-        .usize(
-            "cpus",
-            std::thread::available_parallelism().map_or(0, |c| c.get()),
-        )
-        .finish();
-    let json = format!(
-        "{}\n",
-        Obj::new()
-            .str("bench", "e17_canon")
-            .u64("schema", 1)
-            .str("commit", &commit())
-            .raw("host", &host)
-            .bool("quick", quick)
-            .usize("samples", samples)
-            .raw("metrics", &metrics.f64("canon_us_n8192", headline).finish())
-            .finish()
+    ledger.metric(
+        "canon_us_n8192",
+        headline.expect("the cp corpus runs at n = 8192"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_canon.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-
-    if !failures.is_empty() {
-        eprintln!("e17_canon acceptance FAILED:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
-    }
+    ledger.finish(&failures);
 }

@@ -1,5 +1,8 @@
-//! Shared fixtures for the criterion benches (one bench target per
-//! experiment table of `EXPERIMENTS.md`).
+//! The e9–e17 perf benches: their shared fixtures, and the [`ledger`]
+//! that writes their `BENCH_*.json` files and reads them back for
+//! `dclab bench-gate`. The paper's experiment tables are `dclab e1..e8`.
+
+pub mod ledger;
 
 use dclab_core::pvec::PVec;
 use dclab_graph::generators::random;
@@ -13,12 +16,6 @@ pub fn diam2_graph(n: usize, seed: u64) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let density = (2.8 * (n as f64).ln() / n as f64).sqrt().clamp(0.0, 0.6);
     random::gnp_with_diameter_at_most(&mut rng, n, density.max(0.45), 2)
-}
-
-/// Deterministic connected cograph fixture.
-pub fn cograph(n: usize, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    random::random_connected_cograph(&mut rng, n, 0.4)
 }
 
 /// Deterministic `n`-vertex hardness-corpus instance: the Theorem 3

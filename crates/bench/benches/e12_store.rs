@@ -24,16 +24,34 @@ use dclab_store::{Store, StoreKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dclab-e12-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
+/// The bench's archive directory, removed when dropped: on a panic by
+/// unwinding, and otherwise by `main` before `Ledger::finish`, which exits
+/// the process on a failed acceptance check.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        let dir = std::env::temp_dir().join(format!("dclab-e12-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        TempDir(dir)
+    }
+
+    fn path(&self, name: &str) -> std::path::PathBuf {
+        let path = self.0.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn main() {
     let appends: u64 = 20_000;
+    let tmp = TempDir::new();
 
     // A representative record: a real solved diameter-2 instance, binary
     // encoded; per-append key uniqueness comes from the p-vector.
@@ -53,7 +71,7 @@ fn main() {
     };
 
     // --- Append throughput. ---
-    let path = temp_path("throughput.dcst");
+    let path = tmp.path("throughput.dcst");
     let (store, _) = Store::open(&path).expect("create archive");
     let started = Instant::now();
     for i in 0..appends {
@@ -84,7 +102,7 @@ fn main() {
     drop(reopened);
 
     // --- Warm-boot hit rate on the exact corpus. ---
-    let serve_path = temp_path("warm-boot.dcst");
+    let serve_path = tmp.path("warm-boot.dcst");
     let corpus = exact_corpus(2025, 3);
     let cfg = |path: &std::path::Path| ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -142,5 +160,6 @@ fn main() {
             warm.misses
         ));
     }
+    drop(tmp);
     ledger.finish(&failures);
 }

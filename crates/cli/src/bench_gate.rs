@@ -301,11 +301,29 @@ mod tests {
         std::fs::write(dir.join(file), text).unwrap();
     }
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
+    /// A test-unique directory, removed when the test ends (a failed
+    /// assertion included).
+    struct TempDir(std::path::PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn temp_dir(tag: &str) -> TempDir {
         let dir = std::env::temp_dir().join(format!("dclab-gate-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        TempDir(dir)
     }
 
     /// A bench envelope holding one metric.

@@ -68,7 +68,9 @@ SOLVE/BATCH FLAGS:
                         the span tree as JSON; the report also carries
                         per-phase totals in stats.phases. Convert with
                         `dclab trace export --chrome <file>`
-  --threads <N>         worker threads for this run. Precedence:
+  --threads <N>         compute threads of the whole process, shared by the
+                        serve workers and every fan-out (a fan-out borrows
+                        only threads no one is using). Precedence:
                         --threads beats the DCLAB_THREADS environment
                         variable, which beats available_parallelism.
 

@@ -53,10 +53,16 @@ mod trace_cmd;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h")
-        || args.first().map(String::as_str) == Some("help")
-    {
-        print!("{}", commands::HELP);
+    let first = args.first().map(String::as_str);
+    if args.iter().any(|a| a == "--help" || a == "-h") || first == Some("help") {
+        // A subcommand with a help text of its own prints that text.
+        let help = match first {
+            Some("bench-gate") => bench_gate::GATE_HELP,
+            Some("gen") => gen::GEN_HELP,
+            Some("store") => store_cmd::STORE_HELP,
+            _ => commands::HELP,
+        };
+        print!("{help}");
         return;
     }
     let which = args

@@ -2,7 +2,7 @@
 //! non-zero with the `GuardError` message on stderr, successes must print
 //! a JSON `SolveReport`, and `--help` must document the thread precedence.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use dclab_graph::generators::classic;
@@ -15,19 +15,45 @@ fn dclab(args: &[&str]) -> Output {
         .expect("run dclab binary")
 }
 
-/// Write an instance file under a test-unique temp directory.
-fn write_instance(name: &str, contents: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dclab-cli-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write instance");
-    path
+/// A test-unique scratch directory, removed when the test ends (a failed
+/// assertion included).
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("dclab-cli-e2e-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    /// Write an instance file into the directory.
+    fn write_instance(&self, name: &str, contents: &str) -> PathBuf {
+        let path = self.join(name);
+        std::fs::write(&path, contents).expect("write instance");
+        path
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
 fn oversized_exact_instance_fails_with_guard_error_on_stderr() {
     // n = 30 > EXACT_MAX_N with an explicit exact request → GuardError.
-    let path = write_instance(
+    let dir = Scratch::new("oversized");
+    let path = dir.write_instance(
         "oversized.edges",
         &graph_io::write_edge_list(&classic::complete(30)),
     );
@@ -47,7 +73,8 @@ fn oversized_exact_instance_fails_with_guard_error_on_stderr() {
 #[test]
 fn degenerate_instance_fails_with_reduction_error_on_stderr() {
     // Diameter > 2: the Theorem 2 reduction refuses the instance.
-    let path = write_instance(
+    let dir = Scratch::new("degenerate");
+    let path = dir.write_instance(
         "degenerate.edges",
         &graph_io::write_edge_list(&classic::path(9)),
     );
@@ -59,7 +86,8 @@ fn degenerate_instance_fails_with_reduction_error_on_stderr() {
 
 #[test]
 fn solve_succeeds_and_prints_json_report() {
-    let path = write_instance(
+    let dir = Scratch::new("solve");
+    let path = dir.write_instance(
         "petersen.edges",
         &graph_io::write_edge_list(&classic::petersen()),
     );
@@ -78,7 +106,8 @@ fn solve_succeeds_and_prints_json_report() {
 
 #[test]
 fn threads_flag_accepted_and_zero_rejected() {
-    let path = write_instance(
+    let dir = Scratch::new("threads");
+    let path = dir.write_instance(
         "k5.edges",
         &graph_io::write_edge_list(&classic::complete(5)),
     );
@@ -113,17 +142,26 @@ fn help_documents_thread_precedence_and_serve() {
     );
 }
 
-/// A test-unique scratch directory.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dclab-cli-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir
+#[test]
+fn subcommand_help_prints_that_subcommands_usage() {
+    for (sub, usage) in [
+        ("bench-gate", "usage: dclab bench-gate --baseline"),
+        ("gen", "usage: dclab gen <family>"),
+        ("store", "usage: dclab store <subcommand>"),
+    ] {
+        let out = dclab(&[sub, "--help"]);
+        assert!(out.status.success(), "{sub} --help exits 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(usage),
+            "{sub} --help prints its own usage: {stdout}"
+        );
+    }
 }
 
 #[test]
 fn gen_writes_seeded_corpora_and_is_deterministic() {
-    let dir = scratch("gen");
+    let dir = Scratch::new("gen");
     let corpus = dir.join("corpus");
     let out = dclab(&[
         "gen",
@@ -175,7 +213,7 @@ fn gen_writes_seeded_corpora_and_is_deterministic() {
 
 #[test]
 fn solve_and_batch_populate_and_reuse_the_same_archive() {
-    let dir = scratch("store");
+    let dir = Scratch::new("store");
     let corpus = dir.join("corpus");
     let archive = dir.join("archive.dcst");
     let archive_s = archive.to_str().unwrap();

@@ -689,8 +689,8 @@ fn run_race_member(
     }
 }
 
-/// The racing portfolio behind `Strategy::Race`: members run concurrently
-/// on the `dclab-par` fan-out; with a deadline armed they share an atomic
+/// The racing portfolio behind `Strategy::Race`: members run on the
+/// `dclab-par` fan-out; with a deadline armed they share an atomic
 /// incumbent bound (branch and bound prunes against everyone's best span)
 /// and a cancel token (the first *proof* of optimality stops the rest),
 /// and the deadline harvests the best incumbent. Without a deadline the
@@ -698,12 +698,13 @@ fn run_race_member(
 /// the earliest member — is bit-identical to running that member alone,
 /// regardless of thread count.
 ///
-/// LK members keep their own internal restart fan-out, so a race can
-/// briefly oversubscribe a small machine (members × restarts threads).
-/// That is a deliberate trade: each member stays byte-for-byte the same
-/// computation as its standalone strategy (the bit-identity contract
-/// above), and under a deadline every thread obeys the same absolute
-/// cutoff, so contention costs incumbent quality, never the deadline.
+/// The members, and the restart fan-out inside each LK member, share the
+/// process's compute-thread budget: members run concurrently only on idle
+/// slots (one after another on the calling thread when there are none),
+/// and an LK member's restarts run inline once the members hold every
+/// slot, so a race never adds threads past the budget. Each member stays
+/// byte-for-byte the same computation as its standalone strategy (the
+/// bit-identity contract above) whichever thread runs it.
 fn race_route(
     ctx: &mut Ctx<'_>,
     req: &SolveRequest,

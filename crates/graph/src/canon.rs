@@ -169,18 +169,7 @@ impl CanonicalForm {
         for (id, &v) in order.iter().enumerate() {
             perm[v as usize] = id as u32;
         }
-        let mut edges = Vec::with_capacity(g.m());
-        for (id, &v) in order.iter().enumerate() {
-            let (id, from) = (id as u32, edges.len());
-            edges.extend(
-                g.neighbors(v as usize)
-                    .iter()
-                    .map(|&w| perm[w as usize])
-                    .filter(|&p| p > id)
-                    .map(|p| (id, p)),
-            );
-            edges[from..].sort_unstable();
-        }
+        let edges = canonical_edges(g, &perm, &order);
         let hash = stable_hash.unwrap_or_else(|| {
             let pairs = edges.iter().map(|&(a, b)| (a as u64) << 32 | b as u64);
             invariant_hash(g, std::iter::repeat_n(1, g.n()), pairs)
@@ -198,6 +187,58 @@ impl CanonicalForm {
     pub fn same_canonical_graph(&self, other: &CanonicalForm) -> bool {
         self.n == other.n && self.edges == other.edges
     }
+}
+
+/// `g`'s edges under `perm` (`order` is its inverse), sorted: each
+/// canonical id's higher neighbours in ascending order, one row per id.
+///
+/// A row is ordered the cheapest way its shape allows, so every row but a
+/// short unsorted one costs O(deg):
+/// - its neighbours' ids already ascend (twin classes take consecutive
+///   ids in vertex order, so core–periphery rows do): the higher ones are
+///   a suffix;
+/// - it has at least one neighbour per 64 ids: its ids are marked in a
+///   bitmap and read back in order, O(deg + n/64);
+/// - otherwise it is sorted, O(deg · log deg) with deg < n/64.
+fn canonical_edges(g: &Graph, perm: &[u32], order: &[u32]) -> Vec<(u32, u32)> {
+    let mut marks = vec![0u64; order.len().div_ceil(64)];
+    let mut edges = Vec::with_capacity(g.m());
+    for (id, &v) in order.iter().enumerate() {
+        let (nbrs, id32) = (g.neighbors(v as usize), id as u32);
+        if nbrs.iter().map(|&w| perm[w as usize]).is_sorted() {
+            let higher = nbrs.partition_point(|&w| perm[w as usize] <= id32);
+            edges.extend(nbrs[higher..].iter().map(|&w| (id32, perm[w as usize])));
+        } else if nbrs.len() >= marks.len() {
+            for &w in nbrs {
+                let p = perm[w as usize] as usize;
+                marks[p / 64] |= 1 << (p % 64);
+            }
+            // Read from the first id above the row's: the lower
+            // neighbours' marks below that word are never read again
+            // (later rows start no lower), and those in it are masked off.
+            let first = (id + 1) / 64;
+            if let Some(word) = marks.get_mut(first) {
+                *word &= !0u64 << ((id + 1) % 64);
+            }
+            for (wi, word) in marks.iter_mut().enumerate().skip(first) {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    edges.push((id32, (wi * 64) as u32 + bits.trailing_zeros()));
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            let from = edges.len();
+            edges.extend(
+                nbrs.iter()
+                    .map(|&w| perm[w as usize])
+                    .filter(|&p| p > id32)
+                    .map(|p| (id32, p)),
+            );
+            edges[from..].sort_unstable();
+        }
+    }
+    edges
 }
 
 /// A colouring under refinement and the flat buffers its rounds reuse.
@@ -593,6 +634,43 @@ mod tests {
             };
             for g in with_relabeling(g, seed) {
                 prop_assert_eq!(CanonicalForm::of(&g), reference::form(&g));
+            }
+        }
+    }
+
+    /// Every row shape of the edge build (ids already ascending, one
+    /// neighbour per 64 ids or more, shorter and unsorted) gives the
+    /// relabeled edge list in sorted order.
+    #[test]
+    fn canonical_edges_are_the_sorted_relabeled_edges() {
+        let mut rng = StdRng::seed_from_u64(0xED6E);
+        for n in [1, 2, 63, 64, 65, 130, 700] {
+            let graphs = [
+                random::gnp(&mut rng, n, 0.3),
+                random::gnp(&mut rng, n, 4.0 / n as f64),
+                classic::cycle(n.max(3)),
+                random::core_periphery(&mut rng, n.max(8), 4, 0.01),
+            ];
+            for g in graphs {
+                let shuffled = random::random_permutation(&mut rng, g.n());
+                for relabel in [(0..g.n()).collect(), shuffled] {
+                    let perm: Vec<u32> = relabel.iter().map(|&id| id as u32).collect();
+                    let mut order = vec![0u32; g.n()];
+                    for (v, &id) in perm.iter().enumerate() {
+                        order[id as usize] = v as u32;
+                    }
+                    let perm = &perm;
+                    let mut want: Vec<(u32, u32)> = (0..g.n())
+                        .flat_map(|v| {
+                            g.neighbors(v)
+                                .iter()
+                                .map(move |&w| (perm[v], perm[w as usize]))
+                        })
+                        .filter(|&(a, b)| a < b)
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(canonical_edges(&g, perm, &order), want, "n = {}", g.n());
+                }
             }
         }
     }

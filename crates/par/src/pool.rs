@@ -12,7 +12,11 @@
 //! * [`WorkerPool::shutdown`] is graceful: already-queued jobs are drained,
 //!   then workers exit and are joined. Submissions after shutdown are
 //!   rejected.
+//! * A worker counts against the process's compute-thread budget (see the
+//!   crate docs) while it runs a job, so a fan-out inside a job borrows
+//!   only the cores no other job holds.
 
+use crate::WorkSlot;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -169,11 +173,13 @@ fn worker_loop(shared: &Shared) {
             }
         };
         shared.in_flight.fetch_add(1, Ordering::Relaxed);
+        let slot = WorkSlot::hold();
         // A panicking job must not kill the worker: in a long-running
         // server that would silently shrink the pool until every request
         // is shed. The job owns any response channel, so the panic is the
         // job's problem; the worker moves on.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+        drop(slot);
         shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -186,6 +192,7 @@ mod tests {
 
     #[test]
     fn runs_all_submitted_jobs() {
+        let _serial = crate::tests::serial();
         let counter = Arc::new(AtomicUsize::new(0));
         // A queue bound the 100 jobs can never fill.
         let mut pool = WorkerPool::new(4, 100);
@@ -202,6 +209,7 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_when_full() {
+        let _serial = crate::tests::serial();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let mut pool = WorkerPool::new(1, 1);
         // Occupy the single worker (the queue is empty, so this is taken)…
@@ -236,6 +244,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_the_worker() {
+        let _serial = crate::tests::serial();
         let counter = Arc::new(AtomicUsize::new(0));
         let mut pool = WorkerPool::new(1, 8);
         pool.try_submit(|| panic!("job panics")).unwrap();
@@ -254,6 +263,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_and_rejects_new_ones() {
+        let _serial = crate::tests::serial();
         let counter = Arc::new(AtomicUsize::new(0));
         let mut pool = WorkerPool::new(2, 64);
         for _ in 0..50 {

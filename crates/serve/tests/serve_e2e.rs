@@ -796,3 +796,89 @@ fn clients_reject_an_oversized_declared_response_body() {
     assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
     server.join().expect("fake server");
 }
+
+/// A served report with its `stats.phases` timings dropped: the only
+/// fields a live trace fills with wall-clock numbers.
+fn without_phases(body: &str) -> dclab_engine::json::Value {
+    use dclab_engine::json::Value;
+    let mut report = dclab_engine::json::parse(body).expect("report JSON");
+    if let Value::Obj(fields) = &mut report {
+        for (key, value) in fields.iter_mut() {
+            if let (true, Value::Obj(stats)) = (key == "stats", value) {
+                stats.retain(|(name, _)| name != "phases");
+            }
+        }
+    }
+    report
+}
+
+#[test]
+fn served_answers_do_not_depend_on_load() {
+    use dclab_graph::generators::random;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    // Six distinct serve-cold-shaped instances. Sent two at a time, each
+    // solve's fan-outs (diameter sweep, APSP, LK restarts) run inline or
+    // borrow a helper depending on what the other worker is doing at that
+    // moment; sent one at a time, they find the budget free.
+    let mut rng = StdRng::seed_from_u64(26);
+    let bodies: Vec<String> = (0..6)
+        .map(|_| {
+            graph_io::write_edge_list(&random::gnp_with_diameter_at_most(&mut rng, 60, 0.2, 3))
+        })
+        .collect();
+    let target = "/solve?p=4,3,2&strategy=auto";
+    let server = || {
+        start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            cache_mb: 8,
+            queue_cap: 0,
+            ..Default::default()
+        })
+        .expect("bind ephemeral port")
+    };
+
+    let loaded = server();
+    let addr = loaded.addr();
+    let mut concurrent: Vec<(usize, http::Response)> = std::thread::scope(|s| {
+        let callers: Vec<_> = (0..2)
+            .map(|conn| {
+                let bodies = &bodies;
+                s.spawn(move || {
+                    let mut client = Client::new(addr);
+                    (conn..bodies.len())
+                        .step_by(2)
+                        .map(|i| (i, client.request("POST", target, &bodies[i]).unwrap()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .flat_map(|c| c.join().expect("client thread"))
+            .collect()
+    });
+    loaded.shutdown();
+    loaded.join();
+    concurrent.sort_by_key(|&(i, _)| i);
+
+    let fresh = server();
+    let mut client = Client::new(fresh.addr());
+    for (i, loaded_resp) in &concurrent {
+        let alone = client.request("POST", target, &bodies[*i]).unwrap();
+        assert_eq!(loaded_resp.status, 200, "{}", loaded_resp.body);
+        assert_eq!(alone.status, 200, "{}", alone.body);
+        assert_eq!(loaded_resp.header("x-dclab-cache"), Some("miss"));
+        assert_eq!(alone.header("x-dclab-cache"), Some("miss"));
+        let (a, b) = (
+            without_phases(&loaded_resp.body),
+            without_phases(&alone.body),
+        );
+        assert!(a.get("span").is_some(), "{}", loaded_resp.body);
+        assert_eq!(a, b, "instance {i}: the report depends on load");
+    }
+    assert_eq!(concurrent.len(), bodies.len());
+    stop(fresh, client);
+}

@@ -1,17 +1,25 @@
 //! E9 bench — engine dispatch overhead: `Strategy::Auto` vs. calling the
-//! underlying route directly, plus batch fan-out throughput.
+//! underlying route directly, plus batch fan-out throughput, plus the
+//! Held–Karp certificate: `hk_ascent_us_n<n>` is one 50-iteration
+//! path-form ascent on the reduction of a seeded diameter-≤3 G(n, p) with
+//! p = (4, 3, 2), at serve-cold's n = 250 and at n = 1000.
 //!
 //! Each cell is the median of `SAMPLES` timed runs in µs, written to
 //! `BENCH_engine.json` at the workspace root (no cell is gated).
 
 use dclab_bench::ledger::{median_us, Ledger};
 use dclab_bench::{diam2_graph, l21};
+use dclab_core::pvec::PVec;
 use dclab_core::reduction::{reduce_to_path_tsp, ReducedInstance};
 use dclab_core::routes;
 use dclab_engine::{solve, solve_batch, SolveRequest, Strategy};
+use dclab_graph::generators::random;
 use dclab_par::Deadline;
 use dclab_tsp::exact::BbStatus;
+use dclab_tsp::lowerbound::path_lower_bound;
 use dclab_tsp::matching::MatchingBackend;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 const SAMPLES: usize = 10;
@@ -108,6 +116,17 @@ fn main() {
             format!("route_{}_us", strategy.name().replace('-', "_")),
             us,
         );
+    }
+
+    // The certificate every serve-cold answer carries: 50 ascent
+    // iterations, each one dense Prim pass over the reduced matrix.
+    let p432 = PVec::new(vec![4, 3, 2]).expect("non-increasing p");
+    for (n, density) in [(250usize, 0.13), (1000, 0.05)] {
+        let mut rng = StdRng::seed_from_u64(0xE9A5 + n as u64);
+        let g = random::gnp_with_diameter_at_most(&mut rng, n, density, 3);
+        let reduced = reduce_to_path_tsp(&g, &p432).unwrap();
+        let us = median_us(SAMPLES, || path_lower_bound(black_box(&reduced.tsp), 50));
+        cell(format!("hk_ascent_us_n{n}"), us);
     }
 
     ledger.finish(&[]);

@@ -110,15 +110,33 @@ mod tests {
     use super::*;
     use dclab_graph::generators::classic;
 
-    fn temp_dir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dclab-oracle-cmd-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
+    /// A temp directory for one test, removed when its owner drops: at the
+    /// end of the test, and on a failed assertion too.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("dclab-oracle-cmd-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            Scratch(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
     fn build_then_stats_round_trips_through_the_label_file() {
-        let dir = temp_dir();
+        let dir = Scratch::new("round-trip");
         let instance = dir.join("petersen.edges");
         std::fs::write(&instance, io::write_edge_list(&classic::petersen())).unwrap();
         let labels_path = dir.join("petersen.dcor");

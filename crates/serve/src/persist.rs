@@ -105,17 +105,41 @@ mod tests {
     use dclab_engine::{solve, Budget, OraclePolicy, SolveRequest, Strategy};
     use dclab_graph::generators::classic;
 
-    fn temp_store(name: &str) -> Store {
-        let dir = std::env::temp_dir().join(format!("dclab-persist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(name);
-        let _ = std::fs::remove_file(&path);
-        Store::open(&path).expect("open store").0
+    /// A temp directory for one test, removed when its owner drops: at the
+    /// end of the test, and on a failed assertion too.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("dclab-persist-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            Scratch(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A fresh archive in its own scratch directory; keep the directory
+    /// alive while the store is in use.
+    fn temp_store(tag: &str) -> (Scratch, Store) {
+        let dir = Scratch::new(tag);
+        let store = Store::open(dir.join("archive.dcst")).expect("open store").0;
+        (dir, store)
     }
 
     #[test]
     fn append_then_lookup_round_trips_in_requester_space() {
-        let store = temp_store("lookup.dcst");
+        let (_dir, store) = temp_store("lookup");
         let g = classic::petersen();
         let p = PVec::l21();
         let key = CacheKey::for_request(
@@ -154,7 +178,7 @@ mod tests {
 
     #[test]
     fn warm_boot_turns_archive_records_into_cache_hits() {
-        let store = temp_store("warmboot.dcst");
+        let (_dir, store) = temp_store("warmboot");
         let p = PVec::l21();
         let mut keys = Vec::new();
         for n in [5usize, 6, 7] {
@@ -182,7 +206,7 @@ mod tests {
     fn warm_boot_skips_a_record_past_the_vertex_bound() {
         // A well-formed record, one label per vertex, whose edgeless graph
         // has one vertex more than a parser would accept.
-        let store = temp_store("warmboot-bound.dcst");
+        let (_dir, store) = temp_store("warmboot-bound");
         let p = PVec::l21();
         let g = classic::complete(3);
         let key = CacheKey::for_request(

@@ -9,12 +9,30 @@ use dclab_serve::loadgen::{exact_corpus, run_pass, Client};
 use dclab_serve::server::{start, ServeConfig};
 use dclab_store::Store;
 
-fn temp_store_path(name: &str) -> String {
-    let dir = std::env::temp_dir().join(format!("dclab-store-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path.to_str().expect("utf-8 path").to_string()
+/// A temp directory for one test, removed when its owner drops: at the
+/// end of the test, and on a failed assertion too.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("dclab-store-e2e-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        Scratch(dir)
+    }
+
+    /// The archive path inside the directory.
+    fn store_path(&self) -> String {
+        let path = self.0.join("archive.dcst");
+        path.to_str().expect("utf-8 path").to_string()
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn store_config(path: &str) -> ServeConfig {
@@ -33,7 +51,8 @@ fn store_config(path: &str) -> ServeConfig {
 /// hit rate 1.0 with zero fresh solves.
 #[test]
 fn warm_boot_replays_exact_corpus_with_hit_rate_one_and_zero_solves() {
-    let path = temp_store_path("warm-boot.dcst");
+    let dir = Scratch::new("warm-boot");
+    let path = dir.store_path();
     // 3 instances (n = 16, 18, 20): big enough that a fresh Held–Karp
     // solve is unmistakably expensive, small enough for debug-mode CI.
     let corpus = exact_corpus(1234, 3);
@@ -92,7 +111,8 @@ fn warm_boot_replays_exact_corpus_with_hit_rate_one_and_zero_solves() {
 /// footer); a reopened store sees the last pre-shutdown solve.
 #[test]
 fn shutdown_drain_seals_archive_with_last_solve() {
-    let path = temp_store_path("drain.dcst");
+    let dir = Scratch::new("drain");
+    let path = dir.store_path();
     let handle = start(store_config(&path)).expect("bind");
     let mut client = Client::new(handle.addr());
     let body = graph_io::write_edge_list(&classic::petersen());
@@ -121,7 +141,8 @@ fn shutdown_drain_seals_archive_with_last_solve() {
 /// boot, then evince the store path by checking the metrics counter).
 #[test]
 fn store_hits_count_reads_that_skip_the_engine() {
-    let path = temp_store_path("read-through.dcst");
+    let dir = Scratch::new("read-through");
+    let path = dir.store_path();
 
     // Populate the archive out-of-band (no server involved).
     {

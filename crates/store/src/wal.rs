@@ -672,10 +672,28 @@ mod tests {
     use super::*;
     use dclab_engine::{Budget, OraclePolicy, Strategy};
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dclab-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(name)
+    /// A temp directory for one test, removed when its owner drops: at the
+    /// end of the test, and on a failed assertion too.
+    struct Scratch(std::path::PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir =
+                std::env::temp_dir().join(format!("dclab-store-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            Scratch(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn key(i: u64) -> StoreKey {
@@ -691,8 +709,8 @@ mod tests {
 
     #[test]
     fn append_get_reopen_round_trip() {
-        let path = temp_path("round-trip.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("round-trip");
+        let path = dir.join("round-trip.dcst");
         {
             let (store, open) = Store::open(&path).unwrap();
             assert_eq!(open.live, 0);
@@ -712,8 +730,8 @@ mod tests {
 
     #[test]
     fn close_clean_leaves_footer_and_appends_resume() {
-        let path = temp_path("footer.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("footer");
+        let path = dir.join("footer.dcst");
         {
             let (store, _) = Store::open(&path).unwrap();
             store.append(&key(0), b"a").unwrap();
@@ -733,8 +751,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_earlier_records_intact() {
-        let path = temp_path("torn.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("torn");
+        let path = dir.join("torn.dcst");
         {
             let (store, _) = Store::open(&path).unwrap();
             store.append(&key(0), b"first-report").unwrap();
@@ -755,8 +773,8 @@ mod tests {
 
     #[test]
     fn corrupt_mid_record_truncates_from_there() {
-        let path = temp_path("bitrot.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("bitrot");
+        let path = dir.join("bitrot.dcst");
         let second_offset;
         {
             let (store, _) = Store::open(&path).unwrap();
@@ -775,8 +793,8 @@ mod tests {
 
     #[test]
     fn compact_drops_dead_space_and_bumps_generation() {
-        let path = temp_path("compact.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("compact");
+        let path = dir.join("compact.dcst");
         let (store, _) = Store::open(&path).unwrap();
         for i in 0..8 {
             store
@@ -805,12 +823,10 @@ mod tests {
 
     #[test]
     fn export_then_import_merges_without_duplicates() {
-        let a_path = temp_path("exp-a.dcst");
-        let b_path = temp_path("exp-b.dcst");
-        let dump = temp_path("exp-dump.dcst");
-        for p in [&a_path, &b_path, &dump] {
-            let _ = std::fs::remove_file(p);
-        }
+        let dir = Scratch::new("exp");
+        let a_path = dir.join("exp-a.dcst");
+        let b_path = dir.join("exp-b.dcst");
+        let dump = dir.join("exp-dump.dcst");
         let (a, _) = Store::open(&a_path).unwrap();
         a.append(&key(0), b"zero").unwrap();
         a.append(&key(1), b"one").unwrap();
@@ -828,8 +844,8 @@ mod tests {
 
     #[test]
     fn iter_live_returns_decoded_keys_in_offset_order() {
-        let path = temp_path("iter.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("iter");
+        let path = dir.join("iter.dcst");
         let (store, _) = Store::open(&path).unwrap();
         for i in 0..4 {
             store.append(&key(i), format!("v{i}").as_bytes()).unwrap();
@@ -844,8 +860,8 @@ mod tests {
 
     #[test]
     fn generation_survives_a_crash_after_later_appends() {
-        let path = temp_path("gen-crash.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("gen-crash");
+        let path = dir.join("gen-crash.dcst");
         {
             let (store, _) = Store::open(&path).unwrap();
             store.append(&key(0), b"a").unwrap();
@@ -865,8 +881,8 @@ mod tests {
 
     #[test]
     fn oversized_records_are_rejected_not_written() {
-        let path = temp_path("oversized.dcst");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("oversized");
+        let path = dir.join("oversized.dcst");
         let (store, _) = Store::open(&path).unwrap();
         store.append(&key(0), b"small").unwrap();
         let huge = vec![0u8; MAX_VAL_LEN as usize + 1];
@@ -883,7 +899,8 @@ mod tests {
 
     #[test]
     fn non_archive_file_is_rejected() {
-        let path = temp_path("not-an-archive.dcst");
+        let dir = Scratch::new("not-an-archive");
+        let path = dir.join("not-an-archive.dcst");
         std::fs::write(&path, b"definitely not DCST magic").unwrap();
         assert!(Store::open(&path).is_err());
     }

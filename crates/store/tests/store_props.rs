@@ -13,10 +13,30 @@ use rand::RngExt;
 use dclab_engine::{Budget, OraclePolicy, Strategy};
 use dclab_store::{Store, StoreKey};
 
-fn temp_path(tag: &str, case: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dclab-store-props-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(format!("{tag}-{case}.dcst"))
+/// A temp directory for one test case, removed when its owner drops: at
+/// the end of the case, and on a failed assertion too.
+struct Scratch(std::path::PathBuf);
+
+impl Scratch {
+    fn new(tag: &str, case: u64) -> Scratch {
+        let dir = std::env::temp_dir().join(format!(
+            "dclab-store-props-{}-{tag}-{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        Scratch(dir)
+    }
+
+    fn join(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A random (but case-unique) key: `idx` is baked into the p-vector so two
@@ -72,8 +92,8 @@ proptest! {
     #[test]
     fn append_reopen_round_trip_is_byte_identical(seed in any::<u64>(), count in 1usize..12) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let path = temp_path("round-trip", seed ^ count as u64);
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("round-trip", seed ^ count as u64);
+        let path = dir.join("archive.dcst");
         let mut expected = Vec::new();
         {
             let (store, _) = Store::open(&path).expect("create");
@@ -97,14 +117,13 @@ proptest! {
             let got = store.get(key).expect("read").expect("present after compact");
             prop_assert_eq!(&got, val);
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_tail_at_every_offset_recovers_earlier_records(seed in any::<u64>(), count in 1usize..6) {
         let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(seed);
-        let path = temp_path("torn", seed ^ (count as u64) << 32);
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("torn", seed ^ (count as u64) << 32);
+        let path = dir.join("archive.dcst");
         let mut expected = Vec::new();
         let last_record_start;
         {
@@ -120,7 +139,7 @@ proptest! {
             last_record_start = tail_before_last as usize;
         }
         let full = std::fs::read(&path).expect("read archive");
-        let torn_path = temp_path("torn-cut", seed ^ (count as u64) << 32 ^ 1);
+        let torn_path = dir.join("torn.dcst");
         // Every truncation point inside the final record (from its first
         // byte up to one short of complete).
         for cut in last_record_start..full.len() {
@@ -144,7 +163,5 @@ proptest! {
         // Truncating nothing keeps all records.
         let (_, open) = Store::open(&path).expect("reopen full");
         prop_assert_eq!(open.live, count as u64);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&torn_path);
     }
 }

@@ -20,7 +20,11 @@
 //! * **certificates**: the path-form Held–Karp lower bound with subgradient
 //!   ascent ([`lowerbound`]) for bounding heuristic gaps at scale;
 //! * **one Prim kernel** ([`mst`]) under the MST, branch and bound's
-//!   completion bound and every ascent iteration.
+//!   completion bound and every ascent iteration, except that on x86-64
+//!   CPUs with AVX2 the ascent runs a dense AVX2 step instead: it scans
+//!   all cities per step, four to a register, with the kernel's strict
+//!   comparisons and lowest-id tie rule, so every certificate is the same
+//!   bit for bit on every CPU.
 
 // Every public item in this crate is API surface for the workspace's
 // other eight crates: undocumented exports fail the build.

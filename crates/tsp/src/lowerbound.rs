@@ -18,12 +18,22 @@
 //! short of the bound the plain MST already certifies.
 //!
 //! **One Prim pass per iteration.** Each subgradient iteration evaluates
-//! `MST(w^π)` with the crate's one Prim kernel ([`crate::mst`]), priced as
-//! `(w(u,v) as f64 + π_u) + π_v` straight from the instance's `u64` rows
-//! (no `f64` copy of the matrix). The kernel relaxes and selects in one
-//! pass over the out-of-tree cities, in ascending id order with strict `<`
-//! in both comparisons, so ties go to the lowest id; an iteration at `n`
-//! cities costs `n²/2` steps plus `O(n)` for the potentials. The key,
+//! `MST(w^π)` priced as `(w(u,v) as f64 + π_u) + π_v` straight from the
+//! instance's `u64` rows (no `f64` copy of the matrix), with one of two
+//! Prim steps ([`crate::mst`]), chosen once per ascent:
+//!
+//! * on x86-64 CPUs with AVX2, the **dense step**: keys and parents indexed
+//!   by city id, a NaN key on every city in the tree, and a branch-free
+//!   pass over all `n` cities per step, four to a register, that relaxes
+//!   with strict `<` and then takes the lowest id holding the minimum key;
+//! * on every other CPU, the crate's **compacted kernel**, which relaxes
+//!   and selects in one pass over the out-of-tree cities in ascending id
+//!   order, strict `<` in both comparisons, `n²/2` steps per iteration.
+//!
+//! Both resolve ties the same way (the earlier parent, the lowest id),
+//! convert each weight exactly as `w as f64` and sum the tree in join
+//! order, so they build the same tree from bitwise the same keys: every
+//! L(π), gradient and [`AscentOutcome`] is the same on every CPU. The key,
 //! parent, degree and gradient buffers are allocated once per ascent.
 //!
 //! The ascent uses the classical step rule
@@ -48,7 +58,7 @@
 //! zero clock reads, the same iteration count on every machine.
 
 use crate::construct::nearest_neighbor;
-use crate::mst::{prim, PrimScratch};
+use crate::mst::{prim, PrimScratch, PrimStep};
 use crate::tour::path_weight;
 use crate::{TspInstance, Weight};
 use dclab_par::Deadline;
@@ -85,6 +95,17 @@ pub fn path_lower_bound_anytime(
     iters: usize,
     deadline: &Deadline,
 ) -> AscentOutcome {
+    ascend(inst, iters, deadline, PrimStep::detect())
+}
+
+/// The ascent of [`path_lower_bound_anytime`], evaluating every tree with
+/// `step`.
+pub(crate) fn ascend(
+    inst: &TspInstance,
+    iters: usize,
+    deadline: &Deadline,
+    step: PrimStep,
+) -> AscentOutcome {
     let n = inst.n();
     if n <= 1 {
         return AscentOutcome { bound: 0, iters: 0 };
@@ -96,7 +117,7 @@ pub fn path_lower_bound_anytime(
         };
     }
     let ub = path_weight(inst, &nearest_neighbor(inst, 0)) as f64;
-    let mut form = PathForm::new(n);
+    let mut form = PathForm::new(n, step);
     let mut pi = vec![0.0f64; n];
     let mut best = f64::NEG_INFINITY;
     let mut alpha = 2.0f64;
@@ -153,16 +174,28 @@ pub(crate) fn round_up_bound(value: f64) -> Weight {
 /// The path-form Lagrangian evaluation with its buffers, reused across the
 /// iterations of one ascent.
 pub(crate) struct PathForm {
-    prim: PrimScratch<f64>,
+    trees: Trees,
     degrees: Vec<u32>,
     /// The supergradient at the last evaluated potentials.
     pub(crate) grad: Vec<f64>,
 }
 
+/// The Prim step an ascent runs, with its buffers.
+enum Trees {
+    Compacted(PrimScratch<f64>),
+    #[cfg(target_arch = "x86_64")]
+    DenseAvx2(crate::mst::Avx2, crate::mst::DenseScratch),
+}
+
 impl PathForm {
-    pub(crate) fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize, step: PrimStep) -> Self {
+        let trees = match step {
+            PrimStep::Compacted => Trees::Compacted(PrimScratch::default()),
+            #[cfg(target_arch = "x86_64")]
+            PrimStep::DenseAvx2(avx2) => Trees::DenseAvx2(avx2, Default::default()),
+        };
         Self {
-            prim: PrimScratch::default(),
+            trees,
             degrees: vec![0; n],
             grad: vec![0.0; n],
         }
@@ -180,18 +213,25 @@ impl PathForm {
         // Prim MST over all n cities under the priced weights, its total
         // summed in the order the cities join the tree.
         let mut total = 0.0f64;
-        prim(
-            inst,
-            0,
-            1..n,
-            &mut self.prim,
-            |u, v, w| w as f64 + pi[u] + pi[v],
-            |parent, v, w| {
-                total += w;
-                degrees[v] += 1;
-                degrees[parent] += 1;
-            },
-        );
+        let visit = |parent: usize, v: usize, w: f64| {
+            total += w;
+            degrees[v] += 1;
+            degrees[parent] += 1;
+        };
+        match &mut self.trees {
+            Trees::Compacted(scratch) => prim(
+                inst,
+                0,
+                1..n,
+                scratch,
+                |u, v, w| w as f64 + pi[u] + pi[v],
+                visit,
+            ),
+            #[cfg(target_arch = "x86_64")]
+            Trees::DenseAvx2(avx2, scratch) => {
+                crate::mst::prim_dense(*avx2, inst, pi, scratch, visit)
+            }
+        }
         // The two smallest potentials price the path's free endpoints
         // (deterministic: ties go to the lowest index).
         let (mut i1, mut i2) = (usize::MAX, usize::MAX);

@@ -1,5 +1,6 @@
 //! Minimum spanning trees on dense instances: one Prim kernel (`prim`)
-//! under every tree in the crate.
+//! under every tree in the crate, and a dense AVX2 step that the
+//! Held–Karp ascent runs in its place where the CPU has AVX2.
 //!
 //! The kernel keeps the vertices outside the tree in ascending id order,
 //! with each one's key (cheapest known edge into the tree) and parent
@@ -19,8 +20,49 @@
 //! subgradient iteration) and branch and bound's completion bound over the
 //! unvisited cities. A `PrimScratch` holds the buffers, so callers that
 //! run the kernel repeatedly allocate once.
+//!
+//! **The dense step** (`dense`, x86-64 only) serves the ascent, which
+//! spends 50 Prim passes on every certificate. It keeps keys and parents
+//! in arrays indexed by city id, marks a city in the tree with a NaN key,
+//! and relaxes all `n` cities per step, four to an AVX2 register, without
+//! branches; it then takes the lowest id whose key equals the minimum. Its
+//! strict comparisons, tie rule, pricing order `(w as f64 + π_u) + π_v`
+//! and join-order total are the kernel's, so the two build the same tree
+//! and every value, gradient and certificate is the same bit for bit on
+//! every CPU. `PrimStep::detect` picks it once per ascent when
+//! `is_x86_feature_detected!("avx2")` holds; elsewhere the ascent runs the
+//! kernel. [`prim_mst`] and the completion bound stay on the kernel: no
+//! workload runs them hot.
 
 use crate::{TspInstance, Weight};
+
+#[cfg(target_arch = "x86_64")]
+mod dense;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use dense::{prim_dense, Avx2, DenseScratch};
+
+/// The Prim step under the Held–Karp ascent, chosen once per ascent from
+/// the CPU.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PrimStep {
+    /// The compacted kernel [`prim`], on every CPU.
+    Compacted,
+    /// The dense step [`prim_dense`], on x86-64 CPUs with AVX2.
+    #[cfg(target_arch = "x86_64")]
+    DenseAvx2(Avx2),
+}
+
+impl PrimStep {
+    /// The dense AVX2 step when the CPU has AVX2, else the compacted
+    /// kernel.
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            return PrimStep::DenseAvx2(avx2);
+        }
+        PrimStep::Compacted
+    }
+}
 
 /// A key type the kernel can order: an infinity that no priced weight
 /// reaches, below which every real key sorts.
@@ -198,6 +240,17 @@ mod tests {
         let odd = odd_degree_vertices(5, &edges);
         assert_eq!(odd.len() % 2, 0);
         assert_eq!(odd, vec![0, 1]); // deg: 1,3,2,2,0
+    }
+
+    #[test]
+    fn the_ascent_runs_the_avx2_step_whenever_the_cpu_has_avx2() {
+        let step = PrimStep::detect();
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            assert!(matches!(step, PrimStep::DenseAvx2(_)), "{step:?}");
+            return;
+        }
+        assert_eq!(step, PrimStep::Compacted);
     }
 
     #[test]

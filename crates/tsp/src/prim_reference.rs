@@ -1,12 +1,15 @@
 //! The dense Prim loops that [`crate::mst::prim`] replaced, kept verbatim
-//! as references, and the differential test that holds the kernel to
+//! as references, and the differential tests that hold both Prim steps of
+//! the ascent (the compacted kernel and, on AVX2 CPUs, the dense step) to
 //! them: the same trees, the same keys, the same gradients bit for bit,
 //! and the same ascent outcome.
 
 use crate::construct::nearest_neighbor;
 use crate::exact::branch_bound::mst_over_remaining;
-use crate::lowerbound::{path_lower_bound_anytime, round_up_bound, AscentOutcome, PathForm};
-use crate::mst::{prim_mst, PrimScratch};
+use crate::lowerbound::{
+    ascend, path_lower_bound_anytime, round_up_bound, AscentOutcome, PathForm,
+};
+use crate::mst::{prim_mst, PrimScratch, PrimStep};
 use crate::{TspInstance, Weight};
 use dclab_par::Deadline;
 use rand::rngs::StdRng;
@@ -258,7 +261,7 @@ fn kernel_matches_the_scan_then_relax_loops() {
 
         // Path-form evaluation at π = 0, at potentials with many ties,
         // and at continuous potentials: value and gradient bit for bit.
-        let mut form = PathForm::new(n);
+        let mut form = PathForm::new(n, PrimStep::detect());
         let tied: Vec<f64> = (0..n)
             .map(|_| rng.random_range(0..4u64) as f64 * 0.5 - 0.5)
             .collect();
@@ -290,6 +293,83 @@ fn kernel_matches_the_scan_then_relax_loops() {
                 mst_over_remaining_reference(&inst, &used, tip),
                 "case {case}: completion bound at tip {tip}"
             );
+        }
+    }
+}
+
+/// The Prim steps this CPU can run: the compacted kernel everywhere, and
+/// the dense AVX2 step where the CPU has AVX2.
+fn steps() -> Vec<PrimStep> {
+    let mut steps = vec![PrimStep::Compacted];
+    steps.extend(Some(PrimStep::detect()).filter(|&s| s != PrimStep::Compacted));
+    steps
+}
+
+/// An `n`-city instance whose weights are drawn from `family`: two-valued
+/// {1, 2} and three-valued {2, 3, 4} (exact ties everywhere), {0, 1, 2}
+/// (zero weights), weights of 2⁵³ and above (`w as f64` rounds, so
+/// distinct weights tie as keys), or uniform 1–50.
+fn family_instance(n: usize, family: usize, rng: &mut StdRng) -> TspInstance {
+    const HUGE: [Weight; 6] = [
+        1 << 53,
+        (1 << 53) + 1,
+        (1 << 53) + 3,
+        (1 << 63) + (1 << 11) - 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    let mut w = vec![0; n * n];
+    for u in 0..n {
+        for v in (u + 1)..n {
+            let x = match family {
+                0 => rng.random_range(1..3),
+                1 => rng.random_range(2..5),
+                2 => rng.random_range(0..3),
+                3 => HUGE[rng.random_range(0..HUGE.len())],
+                _ => rng.random_range(1..51),
+            };
+            w[u * n + v] = x;
+            w[v * n + u] = x;
+        }
+    }
+    TspInstance::from_matrix(n, w)
+}
+
+#[test]
+fn both_steps_match_the_scan_then_relax_loops() {
+    let mut rng = StdRng::seed_from_u64(0x5EED_0027);
+    let steps = steps();
+    // Every residue mod 8, at small sizes and up to 300.
+    let sizes = (3..=24).chain(61..=68).chain(293..=300);
+    for (case, n) in sizes.enumerate() {
+        let inst = family_instance(n, case % 5, &mut rng);
+        // Potentials at zero, tied (with both zeros) and continuous.
+        let tied: Vec<f64> = (0..n)
+            .map(|_| [-0.5, -0.0, 0.0, 0.5, 1.0][rng.random_range(0..5usize)])
+            .collect();
+        let smooth: Vec<f64> = (0..n)
+            .map(|_| rng.random_range(0..1_000_000u64) as f64 / 1e5 - 5.0)
+            .collect();
+        for pi in [vec![0.0; n], tied, smooth] {
+            let (want, want_grad) = path_tree_with_subgradient(&inst, &pi);
+            for &step in &steps {
+                let mut form = PathForm::new(n, step);
+                let got = form.eval(&inst, &pi);
+                assert_eq!(got.to_bits(), want.to_bits(), "n {n}, {step:?}: value");
+                assert_eq!(
+                    bits(&form.grad),
+                    bits(&want_grad),
+                    "n {n}, {step:?}: gradient"
+                );
+            }
+        }
+        // The whole ascent, where the reference loops stay quick.
+        if n <= 68 {
+            let want = path_lower_bound_reference(&inst, 50, &Deadline::none());
+            for &step in &steps {
+                let got = ascend(&inst, 50, &Deadline::none(), step);
+                assert_eq!(got, want, "n {n}, {step:?}: ascent");
+            }
         }
     }
 }

@@ -174,28 +174,22 @@ pub(crate) fn round_up_bound(value: f64) -> Weight {
 /// The path-form Lagrangian evaluation with its buffers, reused across the
 /// iterations of one ascent.
 pub(crate) struct PathForm {
-    trees: Trees,
+    step: PrimStep,
+    prim: PrimScratch<f64>,
+    #[cfg(target_arch = "x86_64")]
+    dense: crate::mst::DenseScratch,
     degrees: Vec<u32>,
     /// The supergradient at the last evaluated potentials.
     pub(crate) grad: Vec<f64>,
 }
 
-/// The Prim step an ascent runs, with its buffers.
-enum Trees {
-    Compacted(PrimScratch<f64>),
-    #[cfg(target_arch = "x86_64")]
-    DenseAvx2(crate::mst::Avx2, crate::mst::DenseScratch),
-}
-
 impl PathForm {
     pub(crate) fn new(n: usize, step: PrimStep) -> Self {
-        let trees = match step {
-            PrimStep::Compacted => Trees::Compacted(PrimScratch::default()),
-            #[cfg(target_arch = "x86_64")]
-            PrimStep::DenseAvx2(avx2) => Trees::DenseAvx2(avx2, Default::default()),
-        };
         Self {
-            trees,
+            step,
+            prim: PrimScratch::default(),
+            #[cfg(target_arch = "x86_64")]
+            dense: Default::default(),
             degrees: vec![0; n],
             grad: vec![0.0; n],
         }
@@ -218,18 +212,18 @@ impl PathForm {
             degrees[v] += 1;
             degrees[parent] += 1;
         };
-        match &mut self.trees {
-            Trees::Compacted(scratch) => prim(
+        match self.step {
+            PrimStep::Compacted => prim(
                 inst,
                 0,
                 1..n,
-                scratch,
+                &mut self.prim,
                 |u, v, w| w as f64 + pi[u] + pi[v],
                 visit,
             ),
             #[cfg(target_arch = "x86_64")]
-            Trees::DenseAvx2(avx2, scratch) => {
-                crate::mst::prim_dense(*avx2, inst, pi, scratch, visit)
+            PrimStep::DenseAvx2(avx2) => {
+                crate::mst::prim_dense(avx2, inst, pi, &mut self.dense, visit)
             }
         }
         // The two smallest potentials price the path's free endpoints

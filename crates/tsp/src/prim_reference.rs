@@ -297,14 +297,6 @@ fn kernel_matches_the_scan_then_relax_loops() {
     }
 }
 
-/// The Prim steps this CPU can run: the compacted kernel everywhere, and
-/// the dense AVX2 step where the CPU has AVX2.
-fn steps() -> Vec<PrimStep> {
-    let mut steps = vec![PrimStep::Compacted];
-    steps.extend(Some(PrimStep::detect()).filter(|&s| s != PrimStep::Compacted));
-    steps
-}
-
 /// An `n`-city instance whose weights are drawn from `family`: two-valued
 /// {1, 2} and three-valued {2, 3, 4} (exact ties everywhere), {0, 1, 2}
 /// (zero weights), weights of 2⁵³ and above (`w as f64` rounds, so
@@ -338,7 +330,10 @@ fn family_instance(n: usize, family: usize, rng: &mut StdRng) -> TspInstance {
 #[test]
 fn both_steps_match_the_scan_then_relax_loops() {
     let mut rng = StdRng::seed_from_u64(0x5EED_0027);
-    let steps = steps();
+    // The compacted kernel everywhere, and the dense AVX2 step where the
+    // CPU has AVX2.
+    let mut steps = vec![PrimStep::Compacted, PrimStep::detect()];
+    steps.dedup();
     // Every residue mod 8, at small sizes and up to 300.
     let sizes = (3..=24).chain(61..=68).chain(293..=300);
     for (case, n) in sizes.enumerate() {

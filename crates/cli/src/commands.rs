@@ -37,8 +37,8 @@ USAGE:
                                  with no family for families and flags)
   dclab store <sub> <archive>    stats | compact | export | import on a
                                  persistent solution archive
-  dclab oracle <sub> <file>      build | stats: hub-label distance oracles
-                                 (pruned landmark labeling) offline
+  dclab oracle build <file>      build a hub-label distance oracle (pruned
+                                 landmark labeling) offline, print its stats
   dclab bench-gate [FLAGS]       CI perf gate: compare fresh BENCH_*.json
                                  against committed baselines (see its --help)
   dclab e1..e8 | all [--quick]   the paper's experiment tables

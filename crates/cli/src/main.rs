@@ -24,8 +24,8 @@
 //!      # split graphs, classic families, ...)
 //! dclab store stats|compact|export|import <archive> [args]
 //!      # manage a persistent solution archive offline
-//! dclab oracle build|stats <file> [--out labels.dcor]
-//!      # build a hub-label distance oracle offline / inspect a label file
+//! dclab oracle build <file> [--format edgelist|dimacs]
+//!      # build a hub-label distance oracle offline, print its statistics
 //! dclab trace export --chrome <trace.json> [--out PATH]
 //!      # convert a solve trace (from `solve --trace` or
 //!      # GET /debug/traces/<id>) to Chrome trace_event JSON

@@ -1,108 +1,59 @@
-//! `dclab oracle` — build and inspect hub-label distance oracles offline.
+//! `dclab oracle build` — build a hub-label distance oracle offline.
 //!
 //! `build` parses an instance file, runs the pruned-landmark-labeling
-//! construction, prints one JSON stats line, and (with `--out`) writes the
-//! serialized labels so later runs can skip the build. `stats` re-reads a
-//! serialized label file and prints the same shape without rebuilding.
+//! construction and prints one JSON stats line. The labels are not
+//! written anywhere: every solve builds its own.
 
 use dclab_engine::json::Obj;
 use dclab_graph::io;
 use dclab_oracle::{dense_matrix_bytes, dense_pipeline_bytes, HubLabels};
 
-/// One deterministic JSON line describing a label set.
-fn stats_line(file: &str, action: &str, labels: &HubLabels, m: Option<usize>) -> String {
+const USAGE: &str = "usage: dclab oracle build <instance> [--format edgelist|dimacs]";
+
+/// `dclab oracle build ...` (see module docs).
+pub fn oracle_cmd(args: &[String]) -> Result<(), String> {
+    println!("{}", build_stats(args)?);
+    Ok(())
+}
+
+/// The one deterministic JSON line `dclab oracle build` prints.
+fn build_stats(args: &[String]) -> Result<String, String> {
+    let mut positional = Vec::new();
+    let mut format = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--format" => format = Some(it.next().ok_or("--format needs a value")?.parse()?),
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag '{flag}'\n{USAGE}"))
+            }
+            _ => positional.push(arg),
+        }
+    }
+    let [action, file] = positional.as_slice() else {
+        return Err(USAGE.into());
+    };
+    if action.as_str() != "build" {
+        return Err(format!("unknown oracle action '{action}'\n{USAGE}"));
+    }
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
+    let format = format.unwrap_or_else(|| io::Format::from_path(file));
+    let graph = io::parse(&text, format).map_err(|e| format!("{file}: {e}"))?;
+    let labels = HubLabels::build(&graph).map_err(|e| e.to_string())?;
     let n = labels.n();
     let entries = labels.label_entries() as u64;
-    let obj = Obj::new()
+    Ok(Obj::new()
         .str("file", file)
-        .str("action", action)
-        .usize("n", n);
-    let obj = match m {
-        Some(m) => obj.usize("m", m),
-        None => obj,
-    };
-    obj.u64("label_entries", entries)
+        .str("action", "build")
+        .usize("n", n)
+        .usize("m", graph.m())
+        .u64("label_entries", entries)
         .u64("avg_label_size", entries.checked_div(n as u64).unwrap_or(0))
         .usize("max_label_size", labels.max_label_len())
         .u64("footprint_bytes", labels.footprint_bytes())
         .u64("dense_matrix_bytes", dense_matrix_bytes(n))
         .u64("dense_pipeline_bytes", dense_pipeline_bytes(n))
-        .finish()
-}
-
-/// Positional args plus the `--out` and `--format` flag values.
-struct OracleFlags {
-    positional: Vec<String>,
-    out: Option<String>,
-    format: Option<io::Format>,
-}
-
-fn parse_flags(args: &[String]) -> Result<OracleFlags, String> {
-    let mut positional = Vec::new();
-    let mut out = None;
-    let mut format = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut flag_value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--out" => out = Some(flag_value("--out")?),
-            "--format" => format = Some(flag_value("--format")?.parse()?),
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
-            _ => positional.push(arg.clone()),
-        }
-    }
-    Ok(OracleFlags {
-        positional,
-        out,
-        format,
-    })
-}
-
-const USAGE: &str = "usage: dclab oracle build <instance> [--out labels.dcor] \
-                     [--format edgelist|dimacs]\n       dclab oracle stats <labels.dcor>";
-
-/// `dclab oracle build|stats ...` (see module docs).
-pub fn oracle_cmd(args: &[String]) -> Result<(), String> {
-    let OracleFlags {
-        positional,
-        out,
-        format,
-    } = parse_flags(args)?;
-    let [action, file] = positional.as_slice() else {
-        return Err(USAGE.into());
-    };
-    match action.as_str() {
-        "build" => {
-            let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let format = format.unwrap_or_else(|| io::Format::from_path(file));
-            let graph = io::parse(&text, format).map_err(|e| format!("{file}: {e}"))?;
-            let labels = HubLabels::build(&graph).map_err(|e| e.to_string())?;
-            if let Some(out) = &out {
-                std::fs::write(out, labels.to_bytes()).map_err(|e| format!("{out}: {e}"))?;
-                eprintln!(
-                    "wrote {} label entries ({} bytes) to {out}",
-                    labels.label_entries(),
-                    labels.footprint_bytes()
-                );
-            }
-            println!("{}", stats_line(file, "build", &labels, Some(graph.m())));
-            Ok(())
-        }
-        "stats" => {
-            if out.is_some() {
-                return Err("--out only applies to `oracle build`".into());
-            }
-            let bytes = std::fs::read(file).map_err(|e| format!("{file}: {e}"))?;
-            let labels = HubLabels::from_bytes(&bytes).map_err(|e| format!("{file}: {e}"))?;
-            println!("{}", stats_line(file, "stats", &labels, None));
-            Ok(())
-        }
-        other => Err(format!("unknown oracle action '{other}'\n{USAGE}")),
-    }
+        .finish())
 }
 
 #[cfg(test)]
@@ -135,25 +86,31 @@ mod tests {
     }
 
     #[test]
-    fn build_then_stats_round_trips_through_the_label_file() {
-        let dir = Scratch::new("round-trip");
+    fn build_stats_line_is_unchanged_and_label_file_commands_are_usage_errors() {
+        let dir = Scratch::new("petersen");
         let instance = dir.join("petersen.edges");
         std::fs::write(&instance, io::write_edge_list(&classic::petersen())).unwrap();
-        let labels_path = dir.join("petersen.dcor");
-        oracle_cmd(&[
-            "build".into(),
-            instance.to_str().unwrap().to_string(),
-            "--out".into(),
-            labels_path.to_str().unwrap().to_string(),
-        ])
-        .expect("build succeeds");
-        // The serialized labels decode to an exact oracle.
-        let bytes = std::fs::read(&labels_path).unwrap();
-        let labels = HubLabels::from_bytes(&bytes).expect("decodes");
-        assert_eq!(labels.n(), 10);
-        assert_eq!(labels.query(0, 0), 0);
-        oracle_cmd(&["stats".into(), labels_path.to_str().unwrap().to_string()])
-            .expect("stats succeeds");
+        let file = instance.to_str().unwrap().to_string();
+        // The line the build printed before label files were dropped.
+        assert_eq!(
+            build_stats(&["build".into(), file.clone()]).expect("build succeeds"),
+            format!(
+                "{{\"file\":\"{file}\",\"action\":\"build\",\"n\":10,\"m\":15,\
+                 \"label_entries\":47,\"avg_label_size\":4,\"max_label_size\":9,\
+                 \"footprint_bytes\":326,\"dense_matrix_bytes\":400,\
+                 \"dense_pipeline_bytes\":1200}}"
+            )
+        );
+        let out = dir.join("petersen.dcor");
+        let out = out.to_str().unwrap().to_string();
+        for args in [
+            vec!["stats".to_string(), file.clone()],
+            vec!["build".into(), file.clone(), "--out".into(), out.clone()],
+        ] {
+            let err = build_stats(&args).expect_err("a usage error");
+            assert!(err.ends_with(USAGE), "{args:?}: {err}");
+        }
+        assert!(!std::path::Path::new(&out).exists());
     }
 
     #[test]
@@ -161,6 +118,7 @@ mod tests {
         assert!(oracle_cmd(&[]).is_err());
         assert!(oracle_cmd(&["build".into()]).is_err());
         assert!(oracle_cmd(&["frobnicate".into(), "x".into()]).is_err());
-        assert!(oracle_cmd(&["stats".into(), "/nonexistent/labels.dcor".into()]).is_err());
+        assert!(oracle_cmd(&["build".into(), "/nonexistent/g.edges".into()]).is_err());
+        assert!(oracle_cmd(&["build".into(), "x".into(), "--format".into()]).is_err());
     }
 }

@@ -135,12 +135,13 @@ pub fn span_lower_bound(g: &Graph, p: &PVec) -> u64 {
 /// callers that hold a [`crate::reduction::ReducedInstance`] (the engine's
 /// portfolio dispatcher) do not pay for a second APSP; the reduced weight
 /// matrix is exactly the one [`mst_bound`] / [`held_karp_bound`] would
-/// rebuild. Climbs the [`BoundKind`] ladder (chain/degree → MST →
-/// Held–Karp ascent) and reports which rung certified the result plus how
-/// many ascent iterations ran. The ascent polls `deadline` per iteration
-/// but always runs its first iteration once entered, so an armed caller is
-/// guaranteed at least an MST-strength Held–Karp certificate. With
-/// [`Deadline::none`] the computation performs zero clock reads.
+/// rebuild (`reduced` must be `g`'s reduction under `p`). Climbs the
+/// [`BoundKind`] ladder (chain/degree → MST → Held–Karp ascent) and
+/// reports which rung certified the result plus how many ascent iterations
+/// ran. The ascent polls `deadline` per iteration but always runs its
+/// first iteration once entered, so an armed caller is guaranteed at least
+/// an MST-strength Held–Karp certificate. With [`Deadline::none`] the
+/// computation performs zero clock reads.
 pub fn span_bound_with_reduction(
     g: &Graph,
     p: &PVec,
@@ -154,13 +155,25 @@ pub fn span_bound_with_reduction(
         bound.raise((g.n() as u64 - 1) * p.pmin(), BoundKind::Degree);
     }
     bound.raise(degree_bound(g, p), BoundKind::Degree);
-    bound.raise(prim_mst(&reduced.tsp).1, BoundKind::OneTree);
     if hk_iters > 0 {
         let out = dclab_tsp::lowerbound::path_lower_bound_anytime(&reduced.tsp, hk_iters, deadline);
         if out.iters > 0 {
             bound.raise(out.bound, BoundKind::HkAscent);
         }
         bound.ascent_iters = out.iters;
+    }
+    // The ascent's first iteration (π = 0) prices the MST itself, so its
+    // bound is at least ⌈MST − 1e-6⌉ = MST and outranks the one-tree rung
+    // on a tie: a separate Prim pass can change nothing. That holds while
+    // f64 sums every tree exactly, i.e. while the heaviest tree,
+    // (n − 1)·p_max, stays below 2⁵³. Past that, or when the ascent ran no
+    // iteration, take the rung.
+    let exact_in_f64 = (g.n() as u64)
+        .saturating_sub(1)
+        .checked_mul(p.pmax())
+        .is_some_and(|tree_max| tree_max < 1 << 53);
+    if bound.ascent_iters == 0 || !exact_in_f64 {
+        bound.raise(prim_mst(&reduced.tsp).1, BoundKind::OneTree);
     }
     bound
 }
@@ -391,6 +404,100 @@ mod tests {
         assert_eq!((b.value, b.kind), (9, BoundKind::Degree));
         b.raise(8, BoundKind::ProvedOptimal);
         assert_eq!((b.value, b.kind), (9, BoundKind::Degree));
+    }
+
+    #[test]
+    fn ascent_first_ladder_matches_the_prim_first_ladder() {
+        use crate::reduction::{reduce_unchecked, ReducedInstance};
+        use dclab_graph::DistanceMatrix;
+        use dclab_tsp::TspInstance;
+
+        // The ladder as it ran before the ascent went first: the one-tree
+        // rung from its own Prim pass, then the ascent.
+        fn prim_first(
+            g: &Graph,
+            p: &PVec,
+            reduced: &ReducedInstance,
+            hk_iters: usize,
+            deadline: &Deadline,
+        ) -> SpanBound {
+            let mut bound = SpanBound::degree(0);
+            if g.n() >= 1 {
+                bound.raise((g.n() as u64 - 1) * p.pmin(), BoundKind::Degree);
+            }
+            bound.raise(degree_bound(g, p), BoundKind::Degree);
+            bound.raise(prim_mst(&reduced.tsp).1, BoundKind::OneTree);
+            if hk_iters > 0 {
+                let out = dclab_tsp::lowerbound::path_lower_bound_anytime(
+                    &reduced.tsp,
+                    hk_iters,
+                    deadline,
+                );
+                if out.iters > 0 {
+                    bound.raise(out.bound, BoundKind::HkAscent);
+                }
+                bound.ascent_iters = out.iters;
+            }
+            bound
+        }
+
+        let token = dclab_par::CancelToken::new();
+        token.cancel();
+        let deadlines = [Deadline::none(), Deadline::none().with_token(token)];
+        let pvecs: Vec<PVec> = [vec![2, 1], vec![3, 2], vec![4, 3, 2], vec![1, 1]]
+            .into_iter()
+            .map(|e| PVec::new(e).unwrap())
+            .collect();
+        let mut rng = StdRng::seed_from_u64(78);
+        let mut cases: Vec<(Graph, PVec)> = Vec::new();
+        for n in 0..=3 {
+            cases.push((classic::complete(n), PVec::l21()));
+            cases.push((classic::path(n), PVec::new(vec![3, 2]).unwrap()));
+        }
+        for trial in 0..40 {
+            let n = rng.random_range(4..30usize);
+            let p = &pvecs[trial % pvecs.len()];
+            let density = [0.5, 0.65, 0.8][trial % 3];
+            let g = random::gnp_with_diameter_at_most(&mut rng, n, density, p.k() as u32);
+            cases.push((g, p.clone()));
+        }
+        // Past 2⁵³/(n − 1) the f64 tree sums can round below the MST (on
+        // K_6..K_11 at p = 2⁵¹ + 1 they do), so the Prim rung is taken again.
+        for n in [6, 9, 11] {
+            cases.push((
+                classic::complete(n),
+                PVec::new(vec![(1 << 51) + 1]).unwrap(),
+            ));
+        }
+        let huge = PVec::new(vec![(1 << 52) + 1, (1 << 52) - 1]).unwrap();
+        for n in [3usize, 9, 17] {
+            let g = random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
+            cases.push((g, huge.clone()));
+        }
+        let mut compared = 0;
+        for (g, p) in &cases {
+            let reduced = match reduce_unchecked(g, p) {
+                Ok(r) => r,
+                // The empty graph has no diameter; its reduction is empty.
+                Err(_) if g.n() == 0 => ReducedInstance {
+                    tsp: TspInstance::from_matrix(0, Vec::new()),
+                    dist: DistanceMatrix::compute(g),
+                },
+                Err(e) => panic!("{g:?} {p}: {e:?}"),
+            };
+            for hk_iters in [0, 1, 50] {
+                for deadline in &deadlines {
+                    assert_eq!(
+                        span_bound_with_reduction(g, p, &reduced, hk_iters, deadline),
+                        prim_first(g, p, &reduced, hk_iters, deadline),
+                        "n={} {p} hk_iters={hk_iters}",
+                        g.n()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert_eq!(compared, cases.len() * 6);
     }
 
     #[test]

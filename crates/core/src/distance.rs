@@ -88,11 +88,6 @@ impl DistanceSource {
         self.queries.load(Ordering::Relaxed)
     }
 
-    /// `true` when backed by hub labels.
-    pub fn is_hub(&self) -> bool {
-        matches!(self.backend, DistanceBackend::Hub(_))
-    }
-
     /// Stable backend name for stats and metrics.
     pub fn backend_name(&self) -> &'static str {
         match self.backend {
@@ -135,8 +130,6 @@ mod tests {
         let g = classic::petersen();
         let dense = DistanceSource::build_dense(&g);
         let hub = DistanceSource::build_hub(&g).unwrap();
-        assert!(!dense.is_hub());
-        assert!(hub.is_hub());
         assert_eq!(dense.backend_name(), "dense");
         assert_eq!(hub.backend_name(), "hub");
         let mut pairs = 0;

@@ -65,58 +65,49 @@ impl Labeling {
     }
 
     /// Validation against a precomputed distance matrix (cheaper when many
-    /// labelings of the same graph are checked).
+    /// labelings of the same graph are checked). The same windowed check as
+    /// [`Self::validate_with_source`].
     pub fn validate_with_distances(
         &self,
         dist: &DistanceMatrix,
         p: &PVec,
     ) -> Result<(), Violation> {
-        let n = self.labels.len();
-        assert_eq!(dist.n(), n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let d = dist.get(u, v);
-                if d == INF || d as usize > p.k() {
-                    continue;
-                }
-                let required = p.at_distance(d);
-                let actual = self.labels[u].abs_diff(self.labels[v]);
-                if actual < required {
-                    return Err(Violation {
-                        u,
-                        v,
-                        distance: d,
-                        required_gap: required,
-                        actual_gap: actual,
-                    });
-                }
-            }
-        }
-        Ok(())
+        assert_eq!(dist.n(), self.labels.len(), "labeling size mismatch");
+        self.validate_windowed(p, |u, v| dist.get(u, v))
     }
 
     /// Validation against any [`DistanceSource`](crate::distance::DistanceSource)
-    /// without materialising the `n × n` pair sweep.
-    ///
-    /// Only pairs whose label gap is below `p_max` can violate any
-    /// constraint, and in label-sorted order those pairs form a
-    /// contiguous window, so the check queries the oracle
-    /// `O(n · p_max / p_min)` times for smooth `p` instead of `O(n²)` —
-    /// the difference between feasible and hopeless at `n ≥ 50k`. The
-    /// verdict (and the reported first violation, pair-normalised to
-    /// `u < v`) matches [`Self::validate_with_distances`] exactly.
+    /// without materialising the `n × n` pair sweep; every distance goes
+    /// through [`DistanceSource::query`](crate::distance::DistanceSource::query),
+    /// so the source's query count covers the check.
     pub fn validate_with_source(
         &self,
         src: &crate::distance::DistanceSource,
         p: &PVec,
     ) -> Result<(), Violation> {
-        let n = self.labels.len();
-        assert_eq!(src.n(), n, "labeling size mismatch");
+        assert_eq!(src.n(), self.labels.len(), "labeling size mismatch");
+        self.validate_windowed(p, |u, v| src.query(u, v))
+    }
+
+    /// The check both validators share, reading `d(u, v)` from `dist`.
+    ///
+    /// Only pairs whose label gap is below `p_max` can violate any
+    /// constraint, and in label-sorted order those pairs form a
+    /// contiguous window, so the check reads `O(n · p_max / p_min)`
+    /// distances for smooth `p` instead of `O(n²)` — the difference between
+    /// feasible and hopeless at `n ≥ 50k`. It reports the
+    /// lexicographically first violating pair `(u, v)`, `u < v`, exactly as
+    /// a sweep over all pairs would.
+    fn validate_windowed(
+        &self,
+        p: &PVec,
+        mut dist: impl FnMut(usize, usize) -> u32,
+    ) -> Result<(), Violation> {
         let order = self.sorted_order();
         let pmax = p.pmax();
         let mut first: Option<Violation> = None;
-        for i in 0..n {
-            let a = order[i] as usize;
+        for (i, &a) in order.iter().enumerate() {
+            let a = a as usize;
             for &bv in &order[i + 1..] {
                 let b = bv as usize;
                 // Sorted ascending, so the gap is monotone in the window.
@@ -124,7 +115,7 @@ impl Labeling {
                 if actual >= pmax {
                     break;
                 }
-                let d = src.query(a, b);
+                let d = dist(a, b);
                 if d == INF || d as usize > p.k() {
                     continue;
                 }
@@ -137,8 +128,6 @@ impl Labeling {
                         required_gap: required,
                         actual_gap: actual,
                     };
-                    // The dense sweep reports the lexicographically first
-                    // violating (u, v); keep that contract.
                     if first.as_ref().is_none_or(|f| (v.u, v.v) < (f.u, f.v)) {
                         first = Some(v);
                     }
@@ -173,6 +162,33 @@ impl Labeling {
 mod tests {
     use super::*;
     use dclab_graph::generators::classic;
+
+    /// The plain `O(n²)` sweep over every pair, first violation in
+    /// lexicographic `(u, v)` order: the reference the windowed check is
+    /// held to.
+    fn validate_by_sweep(l: &Labeling, dist: &DistanceMatrix, p: &PVec) -> Result<(), Violation> {
+        let n = l.len();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                let d = dist.get(u, v);
+                if d == INF || d as usize > p.k() {
+                    continue;
+                }
+                let required = p.at_distance(d);
+                let actual = l.label(u).abs_diff(l.label(v));
+                if actual < required {
+                    return Err(Violation {
+                        u,
+                        v,
+                        distance: d,
+                        required_gap: required,
+                        actual_gap: actual,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 
     #[test]
     fn validate_accepts_known_l21_of_path() {
@@ -247,7 +263,8 @@ mod tests {
             for p in &ps {
                 let labels: Vec<u64> = (0..n).map(|_| rng.random_range(0..8u64)).collect();
                 let l = Labeling::new(labels);
-                let want = l.validate_with_distances(&dist, p);
+                let want = validate_by_sweep(&l, &dist, p);
+                assert_eq!(l.validate_with_distances(&dist, p), want);
                 assert_eq!(l.validate_with_source(&dense, p), want);
                 assert_eq!(l.validate_with_source(&hub, p), want);
                 if want.is_err() {

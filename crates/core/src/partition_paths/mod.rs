@@ -14,19 +14,29 @@ pub mod cograph;
 
 use dclab_graph::Graph;
 
-/// Exact minimum number of paths partitioning `V(g)`, by subset DP.
+/// Exact minimum number of paths partitioning `V(g)`: the length of
+/// [`exact_path_partition_witness`]'s optimal partition.
+///
+/// # Panics
+/// If `n > 20` (memory guard). `n == 0` returns 0.
+pub fn exact_path_partition(g: &Graph) -> usize {
+    exact_path_partition_witness(g).len()
+}
+
+/// An optimal partition into paths, by subset DP in `O(2^n n²)`,
+/// reconstructed by walking the DP table backwards.
 ///
 /// `dp[S][v]` = fewest paths covering exactly `S` with the *current* path
 /// ending at `v`; transitions either extend the current path along an edge
 /// or open a new path.
 ///
 /// # Panics
-/// If `n > 20` (memory guard). `n == 0` returns 0.
-pub fn exact_path_partition(g: &Graph) -> usize {
+/// If `n > 20` (memory guard). `n == 0` returns no paths.
+pub fn exact_path_partition_witness(g: &Graph) -> Vec<Vec<usize>> {
     let n = g.n();
     assert!(n <= 20, "subset DP guarded at n ≤ 20");
     if n == 0 {
-        return 0;
+        return Vec::new();
     }
     let full: usize = (1 << n) - 1;
     let mut dp = vec![u8::MAX; (full + 1) * n];
@@ -53,54 +63,6 @@ pub fn exact_path_partition(g: &Graph) -> usize {
                 }
             }
             // Or open a new path at any unvisited vertex.
-            for u in 0..n {
-                if mask & (1 << u) == 0 {
-                    let nm = mask | (1 << u);
-                    if cur + 1 < dp[nm * n + u] {
-                        dp[nm * n + u] = cur + 1;
-                    }
-                }
-            }
-        }
-    }
-    (0..n)
-        .map(|v| dp[full * n + v])
-        .min()
-        .expect("nonempty graph") as usize
-}
-
-/// [`exact_path_partition`] with a witness: returns an optimal partition
-/// itself (`paths.len()` paths), reconstructed by walking the subset DP
-/// backwards. Same `n ≤ 20` guard.
-pub fn exact_path_partition_witness(g: &Graph) -> Vec<Vec<usize>> {
-    let n = g.n();
-    assert!(n <= 20, "subset DP guarded at n ≤ 20");
-    if n == 0 {
-        return Vec::new();
-    }
-    let full: usize = (1 << n) - 1;
-    let mut dp = vec![u8::MAX; (full + 1) * n];
-    for v in 0..n {
-        dp[(1 << v) * n + v] = 1;
-    }
-    for mask in 1..=full {
-        let mut rem = mask;
-        while rem != 0 {
-            let v = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            let cur = dp[mask * n + v];
-            if cur == u8::MAX {
-                continue;
-            }
-            for &u in g.neighbors(v) {
-                let u = u as usize;
-                if mask & (1 << u) == 0 {
-                    let nm = mask | (1 << u);
-                    if cur < dp[nm * n + u] {
-                        dp[nm * n + u] = cur;
-                    }
-                }
-            }
             for u in 0..n {
                 if mask & (1 << u) == 0 {
                     let nm = mask | (1 << u);
@@ -160,6 +122,15 @@ pub fn exact_path_partition_witness(g: &Graph) -> Vec<Vec<usize>> {
 pub fn greedy_path_partition(g: &Graph) -> Vec<Vec<usize>> {
     let n = g.n();
     let mut visited = vec![false; n];
+    // Unvisited neighbours of each vertex, kept current as vertices are
+    // taken, so choosing a step costs O(deg(tip)).
+    let mut free: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
+    let take = |v: usize, visited: &mut [bool], free: &mut [usize]| {
+        visited[v] = true;
+        for &w in g.neighbors(v) {
+            free[w as usize] -= 1;
+        }
+    };
     let mut paths = Vec::new();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&v| g.degree(v));
@@ -168,7 +139,7 @@ pub fn greedy_path_partition(g: &Graph) -> Vec<Vec<usize>> {
             continue;
         }
         let mut path = vec![start];
-        visited[start] = true;
+        take(start, &mut visited, &mut free);
         // Extend forwards, then backwards from the start.
         for end_of in 0..2 {
             loop {
@@ -182,15 +153,10 @@ pub fn greedy_path_partition(g: &Graph) -> Vec<Vec<usize>> {
                     .iter()
                     .map(|&u| u as usize)
                     .filter(|&u| !visited[u])
-                    .min_by_key(|&u| {
-                        g.neighbors(u)
-                            .iter()
-                            .filter(|&&w| !visited[w as usize])
-                            .count()
-                    });
+                    .min_by_key(|&u| free[u]);
                 match next {
                     Some(u) => {
-                        visited[u] = true;
+                        take(u, &mut visited, &mut free);
                         if end_of == 0 {
                             path.push(u);
                         } else {
@@ -275,6 +241,63 @@ mod tests {
             let paths = greedy_path_partition(&g);
             assert!(is_valid_path_partition(&g, &paths));
             assert!(paths.len() >= exact_path_partition(&g));
+        }
+    }
+
+    #[test]
+    fn greedy_matches_the_recounting_walk() {
+        // The walk that recounts each candidate's unvisited neighbours at
+        // every step: the reference the kept counts are held to.
+        fn recounting(g: &Graph) -> Vec<Vec<usize>> {
+            let mut visited = vec![false; g.n()];
+            let mut paths = Vec::new();
+            let mut order: Vec<usize> = (0..g.n()).collect();
+            order.sort_by_key(|&v| g.degree(v));
+            for &start in &order {
+                if visited[start] {
+                    continue;
+                }
+                let mut path = vec![start];
+                visited[start] = true;
+                for end_of in 0..2 {
+                    loop {
+                        let tip = if end_of == 0 {
+                            path[path.len() - 1]
+                        } else {
+                            path[0]
+                        };
+                        let next = g
+                            .neighbors(tip)
+                            .iter()
+                            .map(|&u| u as usize)
+                            .filter(|&u| !visited[u])
+                            .min_by_key(|&u| {
+                                g.neighbors(u)
+                                    .iter()
+                                    .filter(|&&w| !visited[w as usize])
+                                    .count()
+                            });
+                        let Some(u) = next else { break };
+                        visited[u] = true;
+                        if end_of == 0 {
+                            path.push(u);
+                        } else {
+                            path.insert(0, u);
+                        }
+                    }
+                }
+                paths.push(path);
+            }
+            paths
+        }
+
+        let mut rng = StdRng::seed_from_u64(8);
+        for trial in 0..80 {
+            let n = trial % 45;
+            let g = random::gnp(&mut rng, n, [0.05, 0.15, 0.4, 0.85][trial % 4]);
+            let c = dclab_graph::ops::complement(&g);
+            assert_eq!(greedy_path_partition(&g), recounting(&g), "trial {trial}");
+            assert_eq!(greedy_path_partition(&c), recounting(&c), "trial {trial}");
         }
     }
 

@@ -1070,12 +1070,13 @@ fn finish(
     }
     let valid = {
         let _span = dclab_trace::current().span("validate");
+        // Every arm runs the labeling's one windowed check. Oracle-routed
+        // solves read distances through the source the route used, so its
+        // query count covers validation.
         match (&ctx.reduced, &ctx.source) {
             (Some(r), _) => solution
                 .labeling
                 .validate_with_distances(&r.dist, &req.pvec),
-            // Oracle-routed solves validate through the same source the
-            // route used — the windowed check, so n ≥ 50k stays feasible.
             (None, Some(src)) => solution.labeling.validate_with_source(src, &req.pvec),
             (None, None) => solution.labeling.validate(&req.graph, &req.pvec),
         }

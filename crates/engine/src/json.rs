@@ -5,22 +5,7 @@
 //! ([`parse`]) for the tools that consume our own output (the CI bench
 //! regression gate reads committed `BENCH_*.json` baselines with it).
 
-/// Escape a string for inclusion in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use dclab_trace::export::json_escape;
 
 /// Incremental JSON object writer with insertion-ordered fields.
 pub struct Obj {
@@ -42,7 +27,7 @@ impl Obj {
         }
         self.first = false;
         self.buf.push('"');
-        self.buf.push_str(&escape(k));
+        self.buf.push_str(&json_escape(k));
         self.buf.push_str("\":");
     }
 
@@ -54,7 +39,7 @@ impl Obj {
     }
 
     pub fn str(self, k: &str, v: &str) -> Obj {
-        let quoted = format!("\"{}\"", escape(v));
+        let quoted = format!("\"{}\"", json_escape(v));
         self.raw(k, &quoted)
     }
 
@@ -97,7 +82,7 @@ impl Obj {
     pub fn str_array<'a>(self, k: &str, vs: impl IntoIterator<Item = &'a str>) -> Obj {
         let body = vs
             .into_iter()
-            .map(|v| format!("\"{}\"", escape(v)))
+            .map(|v| format!("\"{}\"", json_escape(v)))
             .collect::<Vec<_>>()
             .join(",");
         self.raw(k, &format!("[{body}]"))

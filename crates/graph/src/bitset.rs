@@ -66,19 +66,6 @@ impl BitRows {
         &self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
     }
 
-    /// OR `src`'s words into row `r`.
-    #[inline]
-    pub fn or_row(&mut self, r: usize, src: &[u64]) {
-        debug_assert_eq!(src.len(), self.words_per_row);
-        let base = r * self.words_per_row;
-        for (w, &s) in self.data[base..base + self.words_per_row]
-            .iter_mut()
-            .zip(src)
-        {
-            *w |= s;
-        }
-    }
-
     /// Number of set bits in row `r`.
     pub fn count_ones(&self, r: usize) -> usize {
         self.row(r).iter().map(|w| w.count_ones() as usize).sum()
@@ -133,17 +120,6 @@ mod tests {
         assert_eq!(b.count_ones(1), 2);
         b.clear();
         assert_eq!(b.count_ones(1), 0);
-    }
-
-    #[test]
-    fn or_row_merges() {
-        let mut b = BitRows::new(2, 128);
-        b.set(0, 5);
-        b.set(0, 70);
-        let src = b.row(0).to_vec();
-        b.or_row(1, &src);
-        assert!(b.get(1, 5) && b.get(1, 70));
-        assert_eq!(b.count_ones(1), 2);
     }
 
     #[test]

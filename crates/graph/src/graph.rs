@@ -173,11 +173,6 @@ impl Graph {
         self.adj.iter().map(Vec::len).max().unwrap_or(0)
     }
 
-    /// Minimum degree, 0 for the empty graph.
-    pub fn min_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).min().unwrap_or(0)
-    }
-
     /// Iterator over all edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
         self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
@@ -366,7 +361,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.degree(0), 3);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.min_degree(), 1);
         assert!((g.density() - 0.5).abs() < 1e-12);
         assert!(!g.is_complete());
         let k3 = Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);

@@ -57,25 +57,6 @@ impl Cotree {
         let root = build_rec(g, &vertices, &mut pos, &mut nodes, &mut size)?;
         Some(Cotree { nodes, root, size })
     }
-
-    /// Leaves (original vertex ids) under node `idx`, ascending.
-    pub fn leaves_under(&self, idx: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_leaves(idx, &mut out);
-        out.sort_unstable();
-        out
-    }
-
-    fn collect_leaves(&self, idx: usize, out: &mut Vec<usize>) {
-        match &self.nodes[idx] {
-            CotreeNode::Leaf(v) => out.push(*v),
-            CotreeNode::Union(ch) | CotreeNode::Join(ch) => {
-                for &c in ch {
-                    self.collect_leaves(c, out);
-                }
-            }
-        }
-    }
 }
 
 /// Append the cotree of `G[vertices]` (`vertices` ascending) to `nodes`,
@@ -343,7 +324,16 @@ mod tests {
     fn cotree_leaf_partition_is_exact() {
         let g = join(&classic::complete(2), &Graph::new(3));
         let t = Cotree::build(&g).unwrap();
-        assert_eq!(t.leaves_under(t.root), vec![0, 1, 2, 3, 4]);
+        let mut leaves = Vec::new();
+        let mut stack = vec![t.root];
+        while let Some(i) = stack.pop() {
+            match &t.nodes[i] {
+                CotreeNode::Leaf(v) => leaves.push(*v),
+                CotreeNode::Union(ch) | CotreeNode::Join(ch) => stack.extend(ch),
+            }
+        }
+        leaves.sort_unstable();
+        assert_eq!(leaves, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.size[t.root], 5);
         assert!(matches!(t.nodes[t.root], CotreeNode::Join(_)));
     }

@@ -5,7 +5,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -14,7 +13,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            sets: n,
         }
     }
 
@@ -39,25 +37,12 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.sets -= 1;
         true
     }
 
     /// `true` iff `a` and `b` are in the same set.
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets remaining.
-    #[inline]
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
     }
 }
 
@@ -68,14 +53,10 @@ mod tests {
     #[test]
     fn basic_unions() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
-        assert_eq!(uf.set_count(), 3);
-        assert_eq!(uf.set_size(2), 3);
-        assert_eq!(uf.set_size(4), 1);
     }
 }

@@ -38,6 +38,10 @@
 //! build to that reference, and `tests/label_digests.rs` pins the labels
 //! of graphs at benchmark shape.
 //!
+//! Labels live only in memory: every consumer builds them for the graph
+//! at hand, and nothing reads them back from disk. [`HubLabels::to_bytes`]
+//! serves digests and byte-identity checks only.
+//!
 //! Unreachable pairs answer [`INF`] — the same sentinel the dense
 //! [`DistanceMatrix`] path uses — and `query(u, u) == 0`, both pinned by
 //! the differential property suite in `tests/`.
@@ -56,7 +60,7 @@ pub const MAX_DISTANCE: u32 = u16::MAX as u32 - 1;
 /// BFS rows from a single [`bfs64_distances_csr`] call.
 const SEED_BATCH: usize = 64;
 
-/// Why a labeling could not be built (or deserialized).
+/// Why a labeling could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OracleError {
     /// Some finite distance exceeds the `u16` storage bound — the graph's
@@ -65,8 +69,6 @@ pub enum OracleError {
     DistanceOverflow { distance: u32 },
     /// Total label entries overflow the `u32` CSR offsets.
     TooManyEntries,
-    /// [`HubLabels::from_bytes`] found a malformed buffer.
-    Corrupt { offset: usize, message: String },
 }
 
 impl std::fmt::Display for OracleError {
@@ -76,9 +78,6 @@ impl std::fmt::Display for OracleError {
                 write!(f, "distance {distance} exceeds the u16 label bound")
             }
             OracleError::TooManyEntries => write!(f, "label entries overflow u32 offsets"),
-            OracleError::Corrupt { offset, message } => {
-                write!(f, "corrupt hub-label buffer at byte {offset}: {message}")
-            }
         }
     }
 }
@@ -336,9 +335,10 @@ impl HubLabels {
         self.offsets.len() as u64 * 4 + self.hubs.len() as u64 * 4 + self.dists.len() as u64 * 2
     }
 
-    /// Serialize to the `dclab oracle build` artifact format:
-    /// `"DCLO" | version u8 | n u64 | entries u64 | offsets u32×(n+1) |
-    /// hubs u32×entries | dists u16×entries`, all little-endian.
+    /// The labels as bytes, for digests and byte-identity checks (nothing
+    /// reads them back): `"DCLO" | version u8 | n u64 | entries u64 |
+    /// offsets u32×(n+1) | hubs u32×entries | dists u16×entries`, all
+    /// little-endian.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(21 + self.offsets.len() * 4 + self.hubs.len() * 6);
         buf.extend_from_slice(b"DCLO");
@@ -355,75 +355,6 @@ impl HubLabels {
             buf.extend_from_slice(&d.to_le_bytes());
         }
         buf
-    }
-
-    /// Strict inverse of [`HubLabels::to_bytes`]: magic, version, lengths,
-    /// offset monotonicity and per-vertex hub ordering are all checked, and
-    /// the whole buffer must be consumed.
-    pub fn from_bytes(bytes: &[u8]) -> Result<HubLabels, OracleError> {
-        let corrupt = |offset: usize, message: &str| OracleError::Corrupt {
-            offset,
-            message: message.to_string(),
-        };
-        if bytes.len() < 21 {
-            return Err(corrupt(bytes.len(), "truncated header"));
-        }
-        if &bytes[..4] != b"DCLO" {
-            return Err(corrupt(0, "bad magic"));
-        }
-        if bytes[4] != 1 {
-            return Err(corrupt(4, "unsupported version"));
-        }
-        let n = u64::from_le_bytes(bytes[5..13].try_into().unwrap()) as usize;
-        let entries = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
-        let need = 21usize
-            .checked_add(
-                n.checked_add(1)
-                    .and_then(|x| x.checked_mul(4))
-                    .unwrap_or(usize::MAX),
-            )
-            .and_then(|x| x.checked_add(entries.saturating_mul(6)))
-            .ok_or_else(|| corrupt(5, "length overflow"))?;
-        if bytes.len() != need {
-            return Err(corrupt(bytes.len(), "length mismatch"));
-        }
-        let mut pos = 21;
-        let mut offsets = Vec::with_capacity(n + 1);
-        for _ in 0..=n {
-            offsets.push(u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()));
-            pos += 4;
-        }
-        if offsets[0] != 0 || offsets[n] as usize != entries {
-            return Err(corrupt(21, "bad offset bounds"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt(21, "offsets not monotone"));
-        }
-        let mut hubs = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            hubs.push(u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()));
-            pos += 4;
-        }
-        let mut dists = Vec::with_capacity(entries);
-        for _ in 0..entries {
-            dists.push(u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()));
-            pos += 2;
-        }
-        for v in 0..n {
-            let label = &hubs[offsets[v] as usize..offsets[v + 1] as usize];
-            if label.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(corrupt(pos, "hub ranks not strictly ascending"));
-            }
-            if label.iter().any(|&h| h as usize >= n) {
-                return Err(corrupt(pos, "hub rank out of range"));
-            }
-        }
-        Ok(HubLabels {
-            n,
-            offsets,
-            hubs,
-            dists,
-        })
     }
 }
 
@@ -511,32 +442,6 @@ mod tests {
         let labels = HubLabels::build(&classic::star(500)).unwrap();
         assert!(labels.max_label_len() <= 2, "{}", labels.max_label_len());
         assert!(labels.footprint_bytes() < dense_matrix_bytes(501) / 20);
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let labels = HubLabels::build(&classic::petersen()).unwrap();
-        let bytes = labels.to_bytes();
-        let back = HubLabels::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back, labels);
-        assert_eq!(back.to_bytes(), bytes);
-    }
-
-    #[test]
-    fn corrupt_buffers_are_rejected() {
-        let labels = HubLabels::build(&classic::cycle(8)).unwrap();
-        let bytes = labels.to_bytes();
-        assert!(HubLabels::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(HubLabels::from_bytes(&long).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = b'X';
-        assert!(HubLabels::from_bytes(&bad_magic).is_err());
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 9;
-        assert!(HubLabels::from_bytes(&bad_version).is_err());
-        assert!(HubLabels::from_bytes(&[]).is_err());
     }
 
     #[test]

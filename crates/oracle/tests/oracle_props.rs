@@ -60,27 +60,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    // Serialization: build → to_bytes → from_bytes is the identity, and
-    // the decoded oracle still answers every pair exactly.
-    #[test]
-    fn serialized_labels_round_trip_and_stay_exact(
-        kind in 0usize..4,
-        n in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let g = corpus_graph(kind, n, seed);
-        let labels = HubLabels::build(&g).expect("builds");
-        let back = HubLabels::from_bytes(&labels.to_bytes()).expect("decodes");
-        prop_assert_eq!(&back, &labels);
-        let dense = DistanceMatrix::compute_sequential(&g);
-        for u in 0..g.n() {
-            for v in 0..g.n() {
-                prop_assert_eq!(back.query(u, v), dense.get(u, v));
-            }
-        }
-    }
-}

@@ -234,24 +234,34 @@ pub struct PassStats {
     pub bodies: Vec<(String, String)>,
 }
 
+/// `part / (part + rest)`, 0 when both are 0.
+fn share(part: u64, rest: u64) -> f64 {
+    let denom = part + rest;
+    if denom == 0 {
+        0.0
+    } else {
+        part as f64 / denom as f64
+    }
+}
+
+/// The nearest-rank `q`-quantile of `latencies_us`, 0 when empty.
+fn percentile(latencies_us: &[u64], q: f64) -> u64 {
+    if latencies_us.is_empty() {
+        return 0;
+    }
+    let mut sorted = latencies_us.to_vec();
+    sorted.sort_unstable();
+    let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
+    sorted[idx]
+}
+
 impl PassStats {
     pub fn hit_rate(&self) -> f64 {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.hits as f64 / denom as f64
-        }
+        share(self.hits, self.misses)
     }
 
     pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
+        percentile(&self.latencies_us, q)
     }
 
     pub fn to_json(&self) -> String {
@@ -373,33 +383,20 @@ impl SoakStats {
     }
 
     pub fn hit_rate(&self) -> f64 {
-        let denom = self.hits + self.misses;
-        if denom == 0 {
-            0.0
-        } else {
-            self.hits as f64 / denom as f64
-        }
+        share(self.hits, self.misses)
     }
 
     /// Fraction of routed responses answered by the replica the client
     /// happened to dial (cluster mode). ~1/replicas under uniform load.
     pub fn routing_local_rate(&self) -> f64 {
-        let denom = self.routed_local + self.routed_forwarded + self.routed_fallback;
-        if denom == 0 {
-            0.0
-        } else {
-            self.routed_local as f64 / denom as f64
-        }
+        share(
+            self.routed_local,
+            self.routed_forwarded + self.routed_fallback,
+        )
     }
 
     pub fn percentile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-        sorted[idx]
+        percentile(&self.latencies_us, q)
     }
 
     pub fn to_json(&self) -> String {

@@ -52,10 +52,11 @@ use {
     crate::http::Request,
     crate::metrics::StoreGauges,
     crate::persist,
-    dclab_engine::json::{array, escape, Obj},
+    dclab_engine::json::{array, Obj},
     dclab_engine::{solve, Budget, EngineError, OraclePolicy, SolveReport, SolveRequest, Strategy},
     dclab_graph::io as graph_io,
     dclab_graph::Graph,
+    dclab_trace::export::json_escape,
     std::net::TcpListener,
     std::sync::atomic::{AtomicU64, AtomicUsize},
     std::time::Instant,
@@ -470,7 +471,7 @@ pub(crate) fn route(ctx: &ServeCtx, req: &Request, rid: &str) -> Response {
                     .u64("slow_solve_ms", ctx.slow_solve_ms)
                     .raw(
                         "lines",
-                        &array(lines.iter().map(|l| format!("\"{}\"", escape(l)))),
+                        &array(lines.iter().map(|l| format!("\"{}\"", json_escape(l)))),
                     )
                     .finish(),
             )

@@ -1,9 +1,9 @@
 //! Trace rendering: the span-tree JSON served by `/debug/traces/<id>` and
 //! written by `dclab solve --trace`, plus Chrome `trace_event` export.
 //!
-//! The crate stays std-only, so it carries its own ~20-line JSON string
-//! escaper instead of depending on the engine's emitter (which sits above
-//! it in the dependency graph).
+//! The crate stays std-only, so the workspace's one JSON string escaper,
+//! [`json_escape`], lives here: the engine's JSON writer and the serve
+//! tier call it too.
 
 use crate::SolveTrace;
 

@@ -56,56 +56,13 @@ impl CandidateLists {
     /// selection. Row contents and order match
     /// [`TspInstance::neighbor_lists`] exactly.
     pub fn build(inst: &TspInstance, k: usize) -> CandidateLists {
-        let n = inst.n();
-        let trace = dclab_trace::current();
-        let mut span = trace.span("candidates");
-        if span.is_enabled() {
-            span.set_detail(format!("n={n} k={k}"));
-        }
-        let k = k.min(n.saturating_sub(1));
-        let stride = if k == 0 { 0 } else { k.div_ceil(CHUNK) * CHUNK };
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut ids = Vec::with_capacity(n * stride);
-        let mut wts = Vec::with_capacity(n * stride);
-        let mut scratch: Vec<(i64, u32)> = Vec::with_capacity(n.saturating_sub(1));
-        for u in 0..n {
-            offsets.push((u * stride) as u32);
-            scratch.clear();
-            let row = inst.row(u);
-            for (v, &w) in row.iter().enumerate() {
+        Self::build_rows(inst.n(), k, "", |u, scratch| {
+            for (v, &w) in inst.row(u).iter().enumerate() {
                 if v != u {
-                    debug_assert!(
-                        (w as i64) < PAD_WEIGHT,
-                        "weight too large for gain arithmetic"
-                    );
                     scratch.push((w as i64, v as u32));
                 }
             }
-            if k < scratch.len() {
-                // Partial selection: the k smallest (by (weight, id)) land
-                // in front, unordered; only those get sorted.
-                scratch.select_nth_unstable(k);
-                scratch.truncate(k);
-            }
-            scratch.sort_unstable();
-            for &(w, v) in &scratch {
-                ids.push(v);
-                wts.push(w);
-            }
-            for _ in scratch.len()..stride {
-                ids.push(u as u32);
-                wts.push(PAD_WEIGHT);
-            }
-        }
-        offsets.push((n * stride) as u32);
-        CandidateLists {
-            n,
-            k,
-            stride,
-            offsets,
-            ids,
-            wts,
-        }
+        })
     }
 
     /// Build the `k`-nearest candidate lists from a weight *function*
@@ -118,10 +75,28 @@ impl CandidateLists {
         k: usize,
         mut f: impl FnMut(usize, usize) -> u64,
     ) -> CandidateLists {
+        Self::build_rows(n, k, " from_fn", |u, scratch| {
+            for v in 0..n {
+                if v != u {
+                    scratch.push((f(u, v) as i64, v as u32));
+                }
+            }
+        })
+    }
+
+    /// The body both builds share. `fill_row(u, scratch)` pushes
+    /// `(w(u, v), v)` for every `v ≠ u` in ascending `v`; `detail` tags the
+    /// trace span.
+    fn build_rows(
+        n: usize,
+        k: usize,
+        detail: &str,
+        mut fill_row: impl FnMut(usize, &mut Vec<(i64, u32)>),
+    ) -> CandidateLists {
         let trace = dclab_trace::current();
         let mut span = trace.span("candidates");
         if span.is_enabled() {
-            span.set_detail(format!("n={n} k={k} from_fn"));
+            span.set_detail(format!("n={n} k={k}{detail}"));
         }
         let k = k.min(n.saturating_sub(1));
         let stride = if k == 0 { 0 } else { k.div_ceil(CHUNK) * CHUNK };
@@ -132,17 +107,14 @@ impl CandidateLists {
         for u in 0..n {
             offsets.push((u * stride) as u32);
             scratch.clear();
-            for v in 0..n {
-                if v != u {
-                    let w = f(u, v);
-                    debug_assert!(
-                        (w as i64) < PAD_WEIGHT,
-                        "weight too large for gain arithmetic"
-                    );
-                    scratch.push((w as i64, v as u32));
-                }
-            }
+            fill_row(u, &mut scratch);
+            debug_assert!(
+                scratch.iter().all(|&(w, _)| w < PAD_WEIGHT),
+                "weight too large for gain arithmetic"
+            );
             if k < scratch.len() {
+                // Partial selection: the k smallest (by (weight, id)) land
+                // in front, unordered; only those get sorted.
                 scratch.select_nth_unstable(k);
                 scratch.truncate(k);
             }

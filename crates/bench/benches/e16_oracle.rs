@@ -35,7 +35,7 @@ use dclab_core::distance::DistanceSource;
 use dclab_core::pvec::PVec;
 use dclab_engine::{solve, OraclePolicy, SolveReport, SolveRequest, Strategy};
 use dclab_graph::generators::random;
-use dclab_graph::Graph;
+use dclab_graph::{DistanceMatrix, Graph};
 use dclab_oracle::{dense_matrix_bytes, dense_pipeline_bytes, HubLabels};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -225,7 +225,7 @@ fn main() {
         ));
     }
     // The bench's pair schedule against the matrix, point by point.
-    let dense = DistanceSource::build_dense(&small.g);
+    let dense = DistanceSource::dense(DistanceMatrix::compute(&small.g));
     for &(u, v) in small.pairs.iter().take(1024) {
         let (u, v) = (u as usize, v as usize);
         if small.labels.query(u, v) != dense.query(u, v) {

@@ -44,7 +44,10 @@ USAGE:
   dclab e1..e8 | all [--quick]   the paper's experiment tables
 
 SOLVE/BATCH FLAGS:
-  --p <p1,p2,...>       constraint vector (default 2,1)
+  --p <p1,p2,...>       constraint vector (default 2,1). Guard errors (exit
+                        1) refuse 2·n·p_max ≥ 2^53, and refuse --strategy
+                        exact once (n − 1) times the largest reduced weight
+                        reaches 2^32 − 1 (auto skips Held–Karp there)
   --strategy <name>     exact | branch-bound | approx15 | heuristic | greedy |
                         diam2-pip | l1-coloring | oracle-path | auto | race
                         (default auto). race runs 2-4 portfolio members

@@ -6,10 +6,11 @@
 //! `(n−1)·p_min` lower bound.
 
 use super::{header, ms, timed};
-use dclab_core::baseline::greedy::best_greedy_span;
+use dclab_core::baseline::greedy::best_greedy_span_anytime;
 use dclab_core::pvec::PVec;
 use dclab_core::reduction::{labeling_from_order, reduce_to_path_tsp};
 use dclab_graph::generators::random;
+use dclab_par::Deadline;
 use dclab_tsp::construct::nearest_neighbor;
 use dclab_tsp::lk::{chained_lk, ChainedLkConfig};
 use dclab_tsp::localsearch::{local_opt, or_opt, two_opt, LocalSearchConfig, TourState};
@@ -36,9 +37,9 @@ pub fn run(quick: bool) {
         let density = (2.8 * (n as f64).ln() / n as f64).sqrt().min(0.6);
         let g = random::gnp_with_diameter_at_most(&mut rng, n, density, 2);
         let lower = (n as u64 - 1) * p.pmin();
-        let (greedy_l, _) = best_greedy_span(&g, &p);
-
         let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        let (greedy_l, _) = best_greedy_span_anytime(&g, &reduced.dist, &p, &Deadline::none());
+
         let ext = reduced.tsp.with_dummy_city();
         let nl = ext.candidate_lists(10);
         let cfg = LocalSearchConfig::default();
@@ -116,8 +117,8 @@ pub fn run(quick: bool) {
         let n = g.n();
         let t = parts.len() as u64;
         let optimal = (n as u64 - 1) + (t - 1);
-        let (greedy_l, _) = best_greedy_span(&g, &p);
         let reduced = reduce_to_path_tsp(&g, &p).unwrap();
+        let (greedy_l, _) = best_greedy_span_anytime(&g, &reduced.dist, &p, &Deadline::none());
         let ext = reduced.tsp.with_dummy_city();
         let nl = ext.candidate_lists(10);
         let cfg = LocalSearchConfig::default();

@@ -8,7 +8,7 @@ use super::{header, ms, timed};
 use dclab_core::l1::{solve_l1, L1Engine};
 use dclab_graph::generators::{classic, random};
 use dclab_graph::params::nd::nd;
-use dclab_graph::Graph;
+use dclab_graph::{DistanceMatrix, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,15 +48,16 @@ pub fn run(quick: bool) {
     }
     for (name, g) in rows {
         let ndv = nd(&g);
-        let ((_, fpt_span), fpt_ms) = timed(|| solve_l1(&g, 2, L1Engine::NdFpt));
+        let d = DistanceMatrix::compute(&g);
+        let ((_, fpt_span), fpt_ms) = timed(|| solve_l1(&d, 2, L1Engine::NdFpt));
         let exact_cell = if g.n() <= 26 {
-            let ((_, ex_span), ex_ms) = timed(|| solve_l1(&g, 2, L1Engine::Exact));
+            let ((_, ex_span), ex_ms) = timed(|| solve_l1(&d, 2, L1Engine::Exact));
             assert_eq!(ex_span, fpt_span, "nd-FPT disagreed with exact BB");
             format!("{} ✓", ms(ex_ms))
         } else {
             "—".into()
         };
-        let ((_, ds_span), _) = timed(|| solve_l1(&g, 2, L1Engine::Dsatur));
+        let ((_, ds_span), _) = timed(|| solve_l1(&d, 2, L1Engine::Dsatur));
         println!(
             "{:<22} {:>6} {:>5} {:>12} {:>12} {:>10} {:>8}",
             name,

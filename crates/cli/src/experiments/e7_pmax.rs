@@ -32,8 +32,9 @@ pub fn run(quick: bool) {
         let mut ratios = Vec::new();
         for _ in 0..trials {
             let g = random::gnp_with_diameter_at_most(&mut rng, 11, 0.5, p.k() as u32);
-            let opt = exact_route(&reduce_to_path_tsp(&g, p).unwrap()).unwrap();
-            let approx = solve_pmax_approx(&g, p, L1Engine::Exact);
+            let reduced = reduce_to_path_tsp(&g, p).unwrap();
+            let opt = exact_route(&reduced).unwrap();
+            let approx = solve_pmax_approx(&reduced.dist, p, L1Engine::Exact);
             assert!(approx.labeling.validate(&g, p).is_ok());
             assert!(
                 approx.span <= p.pmax() * opt.span.max(1),

@@ -139,6 +139,7 @@ mod tests {
     use crate::coloring::chromatic_number_exact;
     use dclab_graph::generators::{classic, random};
     use dclab_graph::ops::power;
+    use dclab_graph::DistanceMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -185,7 +186,7 @@ mod tests {
     #[test]
     fn squares_of_multipartite_are_cliques() {
         let g = classic::complete_multipartite(&[4, 4]);
-        let g2 = power(&g, 2);
+        let g2 = power(&DistanceMatrix::compute(&g), 2);
         assert_eq!(chromatic_number_nd(&g2), 8);
     }
 

@@ -54,22 +54,24 @@ pub fn solve_diam2_lpq(
     q: u64,
     solver: PipSolver,
 ) -> Result<Diam2Solution, Diam2Error> {
-    Ok(solve_diam2_impl(g, p, q, solver, false)?.0)
+    Ok(solve_diam2_impl(g, diameter(g), p, q, solver, false)?.0)
 }
 
-/// [`solve_diam2_lpq`] returning a PIP witness alongside the solution: a
-/// valid path partition of the target graph (`G` or `Ḡ`), in the order the
+/// [`solve_diam2_lpq`] for a caller that knows `diam(G)` (`None` when
+/// disconnected), returning a PIP witness alongside the solution: a valid
+/// path partition of the target graph (`G` or `Ḡ`), in the order the
 /// Fig. 2 labeling construction wants it. The witness is optimal for
 /// `SubsetDp` (`paths.len() == partition_size`) and a greedy upper bound
 /// for `Cotree` (the cotree DP proves the count; the paths may be more).
 /// Everything — the target complement included — is computed once.
 pub fn solve_diam2_lpq_with_witness(
     g: &Graph,
+    diam: Option<u32>,
     p: u64,
     q: u64,
     solver: PipSolver,
 ) -> Result<(Diam2Solution, PathPartition), Diam2Error> {
-    let (sol, paths) = solve_diam2_impl(g, p, q, solver, true)?;
+    let (sol, paths) = solve_diam2_impl(g, diam, p, q, solver, true)?;
     Ok((sol, paths.expect("witness requested")))
 }
 
@@ -78,6 +80,7 @@ pub type PathPartition = Vec<Vec<usize>>;
 
 fn solve_diam2_impl(
     g: &Graph,
+    diam: Option<u32>,
     p: u64,
     q: u64,
     solver: PipSolver,
@@ -94,7 +97,7 @@ fn solve_diam2_impl(
             want_witness.then(Vec::new),
         ));
     }
-    match diameter(g) {
+    match diam {
         Some(d) if d <= 2 => {}
         _ => return Err(Diam2Error::NotDiameter2),
     }
@@ -219,7 +222,8 @@ mod tests {
             for (p, q) in [(1u64, 2u64), (2, 1)] {
                 let plain = solve_diam2_lpq(&g, p, q, PipSolver::SubsetDp).unwrap();
                 let (sol, paths) =
-                    solve_diam2_lpq_with_witness(&g, p, q, PipSolver::SubsetDp).unwrap();
+                    solve_diam2_lpq_with_witness(&g, diameter(&g), p, q, PipSolver::SubsetDp)
+                        .unwrap();
                 assert_eq!(sol, plain);
                 assert_eq!(paths.len(), sol.partition_size);
                 let target = if sol.on_complement {

@@ -55,11 +55,6 @@ impl DistanceSource {
         }
     }
 
-    /// Compute the dense matrix of `g` and wrap it.
-    pub fn build_dense(g: &Graph) -> Self {
-        DistanceSource::dense(DistanceMatrix::compute(g))
-    }
-
     /// Build hub labels for `g` and wrap them.
     pub fn build_hub(g: &Graph) -> Result<Self, OracleError> {
         Ok(DistanceSource::hub(HubLabels::build(g)?))
@@ -128,7 +123,7 @@ mod tests {
     #[test]
     fn both_backends_answer_identically_and_count() {
         let g = classic::petersen();
-        let dense = DistanceSource::build_dense(&g);
+        let dense = DistanceSource::dense(DistanceMatrix::compute(&g));
         let hub = DistanceSource::build_hub(&g).unwrap();
         assert_eq!(dense.backend_name(), "dense");
         assert_eq!(hub.backend_name(), "hub");
@@ -146,7 +141,7 @@ mod tests {
     #[test]
     fn disconnected_pairs_share_the_inf_sentinel() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        let dense = DistanceSource::build_dense(&g);
+        let dense = DistanceSource::dense(DistanceMatrix::compute(&g));
         let hub = DistanceSource::build_hub(&g).unwrap();
         assert_eq!(dense.query(0, 2), INF);
         assert_eq!(hub.query(0, 2), INF);
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn footprints_reflect_the_backend() {
         let g = classic::complete(16);
-        let dense = DistanceSource::build_dense(&g);
+        let dense = DistanceSource::dense(DistanceMatrix::compute(&g));
         let hub = DistanceSource::build_hub(&g).unwrap();
         assert_eq!(dense.footprint_bytes(), 16 * 16 * 4);
         assert_eq!(dense.label_entries(), 0);

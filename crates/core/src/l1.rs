@@ -13,7 +13,7 @@ use crate::labeling::Labeling;
 use crate::pvec::PVec;
 use crate::routes::Solution;
 use dclab_graph::ops::power;
-use dclab_graph::Graph;
+use dclab_graph::{DistanceMatrix, Graph};
 
 /// Which coloring engine to use on `G^k`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,14 +26,15 @@ pub enum L1Engine {
     NdFpt,
 }
 
-/// Solve `L(1^k)`-labeling: returns the labeling (labels are colors) and
-/// its span. Exact engines return `λ_{1^k}(G) = χ(G^k) − 1`.
-pub fn solve_l1(g: &Graph, k: usize, engine: L1Engine) -> (Labeling, u64) {
+/// Solve `L(1^k)`-labeling of the graph whose distance matrix is `dist`:
+/// returns the labeling (labels are colors) and its span. Exact engines
+/// return `λ_{1^k}(G) = χ(G^k) − 1`.
+pub fn solve_l1(dist: &DistanceMatrix, k: usize, engine: L1Engine) -> (Labeling, u64) {
     assert!(k >= 1);
-    if g.n() == 0 {
+    if dist.n() == 0 {
         return (Labeling::new(vec![]), 0);
     }
-    let gk = power(g, k as u32);
+    let gk = power(dist, k as u32);
     let colors: Vec<u32> = match engine {
         L1Engine::Dsatur => dsatur_coloring(&gk),
         L1Engine::Exact => {
@@ -108,10 +109,11 @@ fn exact_coloring_with(g: &Graph, k: usize) -> Option<Vec<u32>> {
 }
 
 /// **Corollary 3**: `p_max`-approximate `L(p)`-labeling by scaling an
-/// optimal `L(1^k)`-labeling by `p_max`. Valid on any graph.
-pub fn solve_pmax_approx(g: &Graph, p: &PVec, engine: L1Engine) -> Solution {
+/// optimal `L(1^k)`-labeling by `p_max`. Valid on any graph; `dist` is its
+/// distance matrix.
+pub fn solve_pmax_approx(dist: &DistanceMatrix, p: &PVec, engine: L1Engine) -> Solution {
     let _span = dclab_trace::current().span("l1");
-    let (l1, _) = solve_l1(g, p.k(), engine);
+    let (l1, _) = solve_l1(dist, p.k(), engine);
     let pmax = p.pmax();
     let labels: Vec<u64> = l1.labels().iter().map(|&c| c * pmax).collect();
     Solution::from_labeling(Labeling::new(labels))
@@ -125,10 +127,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn d(g: &Graph) -> DistanceMatrix {
+        DistanceMatrix::compute(g)
+    }
+
     #[test]
     fn l1_on_path_is_coloring_of_power() {
         // L(1,1) on P5: χ(P5²) = 3 → span 2.
-        let (l, span) = solve_l1(&classic::path(5), 2, L1Engine::Exact);
+        let (l, span) = solve_l1(&d(&classic::path(5)), 2, L1Engine::Exact);
         assert_eq!(span, 2);
         assert!(l.validate(&classic::path(5), &PVec::ones(2)).is_ok());
     }
@@ -138,9 +144,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         for _ in 0..6 {
             let g = random::gnp(&mut rng, 12, 0.3);
-            let (_, exact) = solve_l1(&g, 2, L1Engine::Exact);
-            let (_, nd) = solve_l1(&g, 2, L1Engine::NdFpt);
-            let (_, dsatur) = solve_l1(&g, 2, L1Engine::Dsatur);
+            let (_, exact) = solve_l1(&d(&g), 2, L1Engine::Exact);
+            let (_, nd) = solve_l1(&d(&g), 2, L1Engine::NdFpt);
+            let (_, dsatur) = solve_l1(&d(&g), 2, L1Engine::Dsatur);
             assert_eq!(exact, nd);
             assert!(dsatur >= exact);
         }
@@ -152,7 +158,7 @@ mod tests {
         for k in 1..=3usize {
             let g = random::gnp(&mut rng, 7, 0.35);
             let p = PVec::ones(k);
-            let (_, via_coloring) = solve_l1(&g, k, L1Engine::Exact);
+            let (_, via_coloring) = solve_l1(&d(&g), k, L1Engine::Exact);
             let (_, generic) = exact_labeling_bruteforce(&g, &p);
             assert_eq!(via_coloring, generic, "k={k}");
         }
@@ -164,7 +170,7 @@ mod tests {
         for _ in 0..6 {
             let g = random::gnp(&mut rng, 8, 0.4);
             let p = PVec::l21();
-            let approx = solve_pmax_approx(&g, &p, L1Engine::Exact);
+            let approx = solve_pmax_approx(&d(&g), &p, L1Engine::Exact);
             assert!(approx.labeling.validate(&g, &p).is_ok());
             let (_, opt) = exact_labeling_bruteforce(&g, &p);
             assert!(approx.span >= opt);
@@ -181,7 +187,7 @@ mod tests {
     fn labels_are_multiples_of_pmax() {
         let g = classic::petersen();
         let p = PVec::l21();
-        let approx = solve_pmax_approx(&g, &p, L1Engine::Dsatur);
+        let approx = solve_pmax_approx(&d(&g), &p, L1Engine::Dsatur);
         assert!(approx.labeling.labels().iter().all(|l| l % 2 == 0));
     }
 }

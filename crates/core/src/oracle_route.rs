@@ -227,13 +227,14 @@ mod tests {
     use crate::reduction::reduce_to_path_tsp;
     use crate::routes::{exact_route, greedy_route};
     use dclab_graph::generators::{classic, random};
+    use dclab_graph::DistanceMatrix;
     use dclab_par::Deadline;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn sources(g: &Graph) -> (DistanceSource, DistanceSource) {
         (
-            DistanceSource::build_dense(g),
+            DistanceSource::dense(DistanceMatrix::compute(g)),
             DistanceSource::build_hub(g).unwrap(),
         )
     }
@@ -343,7 +344,8 @@ mod tests {
             let g = random::gnp_with_diameter_at_most(&mut rng, 40, 0.5, 2);
             let (dense, _) = sources(&g);
             route_total += oracle_path_route(&g, &p, &dense).span;
-            greedy_total += greedy_route(&g, &p, &Deadline::none()).span;
+            let dist = DistanceMatrix::compute(&g);
+            greedy_total += greedy_route(&g, &dist, &p, &Deadline::none()).span;
         }
         assert!(
             route_total <= greedy_total + greedy_total / 2,

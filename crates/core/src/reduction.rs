@@ -62,12 +62,7 @@ impl std::error::Error for ReductionError {}
 
 /// Run the Theorem 2 reduction with all eligibility checks.
 pub fn reduce_to_path_tsp(g: &Graph, p: &PVec) -> Result<ReducedInstance, ReductionError> {
-    if !p.is_smooth() {
-        return Err(ReductionError::NotSmooth {
-            pmin: p.pmin(),
-            pmax: p.pmax(),
-        });
-    }
+    check_smooth(p)?;
     reduce_unchecked(g, p)
 }
 
@@ -76,15 +71,40 @@ pub fn reduce_to_path_tsp(g: &Graph, p: &PVec) -> Result<ReducedInstance, Reduct
 /// the Path-TSP optimum is only a **lower bound** on `λ_p` (each consecutive
 /// gap in a sorted labeling is at least the pair's weight), not equal to it.
 pub fn reduce_unchecked(g: &Graph, p: &PVec) -> Result<ReducedInstance, ReductionError> {
-    let n = g.n();
     let dist = DistanceMatrix::compute(g);
-    let diameter = match dist.diameter() {
-        None => return Err(ReductionError::Disconnected),
-        Some(d) => d,
-    };
-    if diameter as usize > p.k() {
-        return Err(ReductionError::DiameterTooLarge { diameter, k: p.k() });
+    check_scope(dist.diameter(), p)?;
+    Ok(reduce_matrix(dist, p))
+}
+
+/// Theorem 2's smoothness hypothesis, `p_max ≤ 2·p_min`, which Claim 1's
+/// equality (and so every route that labels by prefix sums) needs.
+pub fn check_smooth(p: &PVec) -> Result<(), ReductionError> {
+    if p.is_smooth() {
+        Ok(())
+    } else {
+        Err(ReductionError::NotSmooth {
+            pmin: p.pmin(),
+            pmax: p.pmax(),
+        })
     }
+}
+
+/// Theorem 2's scope at a known diameter (`None` when disconnected): every
+/// pair must be constrained, so `G` is connected with `diam(G) ≤ k`.
+pub fn check_scope(diameter: Option<u32>, p: &PVec) -> Result<(), ReductionError> {
+    match diameter {
+        None => Err(ReductionError::Disconnected),
+        Some(diameter) if diameter as usize > p.k() => {
+            Err(ReductionError::DiameterTooLarge { diameter, k: p.k() })
+        }
+        Some(_) => Ok(()),
+    }
+}
+
+/// The reduction over `G`'s distance matrix, which the instance keeps.
+/// The caller has checked [`check_scope`]: every pair lies within `k`.
+pub fn reduce_matrix(dist: DistanceMatrix, p: &PVec) -> ReducedInstance {
+    let n = dist.n();
     let mut w = vec![0u64; n * n];
     for u in 0..n {
         for v in 0..n {
@@ -93,10 +113,10 @@ pub fn reduce_unchecked(g: &Graph, p: &PVec) -> Result<ReducedInstance, Reductio
             }
         }
     }
-    Ok(ReducedInstance {
+    ReducedInstance {
         tsp: TspInstance::from_matrix(n, w),
         dist,
-    })
+    }
 }
 
 /// Claim 1 recovery: the labeling whose sorted order is `order`, with

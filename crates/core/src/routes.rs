@@ -8,11 +8,11 @@
 //! [`crate::reduction::reduce_to_path_tsp`] and calls the route directly.
 
 use crate::baseline::greedy::best_greedy_span_anytime;
-use crate::guard::{check_exact_size, GuardError};
+use crate::guard::{check_exact_range, check_exact_size, GuardError};
 use crate::labeling::Labeling;
 use crate::pvec::PVec;
 use crate::reduction::{labeling_from_order, ReducedInstance};
-use dclab_graph::Graph;
+use dclab_graph::{DistanceMatrix, Graph};
 use dclab_par::Deadline;
 use dclab_tsp::christofides::christofides_path;
 use dclab_tsp::driver::{solve_path_heuristic, HeuristicConfig};
@@ -56,9 +56,12 @@ fn solution_from_order(reduced: &ReducedInstance, order: Vec<u32>, span: u64) ->
 }
 
 /// Exact optimum via Held–Karp (Corollary 1a). Guarded by
-/// [`crate::guard::EXACT_MAX_N`].
+/// [`crate::guard::EXACT_MAX_N`] and by the range of its `u32` path sums
+/// ([`check_exact_range`]).
 pub fn exact_route(reduced: &ReducedInstance) -> Result<Solution, GuardError> {
-    check_exact_size(reduced.tsp.n())?;
+    let n = reduced.tsp.n();
+    check_exact_size(n)?;
+    check_exact_range(n, reduced.tsp.weight_range().map_or(0, |(_, max)| max))?;
     let _span = dclab_trace::current().span("exact");
     let (order, span) = held_karp_path(&reduced.tsp);
     Ok(solution_from_order(reduced, order, span))
@@ -103,12 +106,13 @@ pub fn heuristic_route(reduced: &ReducedInstance, cfg: &HeuristicConfig) -> Solu
     solution_from_order(reduced, order, span)
 }
 
-/// Greedy first-fit baseline: no reduction, so any graph and any `p`. The
-/// deadline is checked between candidate vertex orders, so the result is
-/// always a complete valid labeling, just possibly from fewer orders.
-pub fn greedy_route(g: &Graph, p: &PVec, deadline: &Deadline) -> Solution {
+/// Greedy first-fit baseline over `g`'s distance matrix `dist`: no
+/// reduction, so any graph and any `p`. The deadline is checked between
+/// candidate vertex orders, so the result is always a complete valid
+/// labeling, just possibly from fewer orders.
+pub fn greedy_route(g: &Graph, dist: &DistanceMatrix, p: &PVec, deadline: &Deadline) -> Solution {
     let _span = dclab_trace::current().span("greedy");
-    let (labeling, _) = best_greedy_span_anytime(g, p, deadline);
+    let (labeling, _) = best_greedy_span_anytime(g, dist, p, deadline);
     Solution::from_labeling(labeling)
 }
 
@@ -216,7 +220,8 @@ mod tests {
     fn greedy_upper_bounds_exact() {
         let g = classic::petersen();
         let p = PVec::l21();
-        let greedy = greedy_route(&g, &p, &Deadline::none());
+        let dist = DistanceMatrix::compute(&g);
+        let greedy = greedy_route(&g, &dist, &p, &Deadline::none());
         assert!(greedy.labeling.validate(&g, &p).is_ok());
         assert_eq!(greedy.span, greedy.labeling.span());
         assert_eq!(greedy.order, greedy.labeling.sorted_order());

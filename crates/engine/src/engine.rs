@@ -1,6 +1,8 @@
-//! The dispatcher: one [`solve`] entry point over every route, with the
-//! Theorem 2 reduction computed **once** per request and shared across
-//! candidate routes.
+//! The dispatcher: one [`solve`] entry point over every route, with one
+//! distance state per request. Below the memory wall a request computes
+//! one all-pairs matrix, which the features, the routes, the Theorem 2
+//! reduction and validation all read; past it the oracle path reads hub
+//! labels. No request computes distances twice.
 //!
 //! **Anytime semantics** — when the request arms `Budget::deadline_ms`,
 //! every long-running route becomes interruptible: chained LK checks the
@@ -22,16 +24,20 @@ use dclab_core::bounds::{
 };
 use dclab_core::diam2::{solve_diam2_lpq_with_witness, Diam2Error, PipSolver};
 use dclab_core::distance::DistanceSource;
-use dclab_core::guard::{check_exact_size, check_restarts, GuardError, EXACT_MAX_N};
+use dclab_core::guard::{
+    check_exact_size, check_label_range, check_restarts, GuardError, EXACT_MAX_N,
+};
 use dclab_core::l1::{solve_pmax_approx, L1Engine};
-use dclab_core::labeling::Labeling;
+use dclab_core::labeling::{Labeling, Violation};
 use dclab_core::oracle_route::oracle_path_route;
 use dclab_core::pvec::PVec;
 use dclab_core::reduction::{
-    reduce_to_path_tsp, reduce_unchecked, tight_labeling_for_order, ReducedInstance, ReductionError,
+    check_scope, check_smooth, reduce_matrix, tight_labeling_for_order, ReducedInstance,
+    ReductionError,
 };
 use dclab_core::routes::{self, Solution};
-use dclab_graph::Graph;
+use dclab_graph::diameter::diameter;
+use dclab_graph::{DistanceMatrix, Graph};
 use dclab_oracle::dense_pipeline_bytes;
 use dclab_par::{CancelToken, Deadline};
 use dclab_tsp::driver::HeuristicConfig;
@@ -105,16 +111,29 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Per-request working state: owns the at-most-one reduction and the
-/// dispatch trace.
+/// The request's one distance state. Every request but a hub-backed
+/// oracle path starts from one all-pairs matrix; the Theorem 2 reduction
+/// takes it over on first use, and the oracle path reads it as its dense
+/// source. Nothing moves back, so distances are computed at most once per
+/// request, by construction.
+enum Distances {
+    /// The all-pairs matrix.
+    Matrix(DistanceMatrix),
+    /// The reduction, which owns the matrix (`dist`).
+    Reduced(ReducedInstance),
+    /// The oracle path's source: the matrix, or hub labels.
+    Source(DistanceSource),
+}
+
+/// Per-request working state: owns the distance state and the dispatch
+/// trace.
 struct Ctx<'a> {
     g: &'a Graph,
     p: &'a PVec,
-    reduced: Option<ReducedInstance>,
-    reductions_computed: usize,
-    /// The request's at-most-one distance source (oracle-routed solves).
-    source: Option<DistanceSource>,
-    oracle_builds: usize,
+    dist: Distances,
+    /// The features, whose diameter comes off the matrix when the request
+    /// has one, else from the streaming sweep.
+    features: InstanceFeatures,
     /// An `OraclePolicy::Auto` request resolved to the dense matrix.
     oracle_dense_fallback: bool,
     routes_tried: Vec<Strategy>,
@@ -130,81 +149,105 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(g: &'a Graph, p: &'a PVec) -> Ctx<'a> {
-        Ctx {
+    /// Build the request's distance state. The oracle path reads hub labels
+    /// or, on the dense backend, the matrix as its source; `Auto` takes
+    /// that path past the memory wall for smooth `p`, exactly where
+    /// `OraclePolicy::Auto` picks hub labels. Every other request starts
+    /// from the one all-pairs matrix. Trivial instances (n ≤ 1) run no
+    /// route.
+    fn new(req: &'a SolveRequest) -> Result<Ctx<'a>, EngineError> {
+        let (g, n) = (&req.graph, req.graph.n());
+        let past_wall = dense_pipeline_bytes(n) > AUTO_HUB_THRESHOLD_BYTES;
+        let oracle_path = n > 1
+            && match req.strategy {
+                Strategy::OraclePath => true,
+                Strategy::Auto => req.pvec.is_smooth() && past_wall,
+                _ => false,
+            };
+        let hub = match req.oracle {
+            OraclePolicy::Dense => false,
+            OraclePolicy::Hub => true,
+            OraclePolicy::Auto => past_wall,
+        };
+        let (dist, diameter) = if oracle_path && hub {
+            let diameter = diameter(g);
+            let trace = dclab_trace::current();
+            let mut span = trace.span("oracle_build");
+            let src = DistanceSource::build_hub(g).map_err(|e| EngineError::Unsupported {
+                strategy: Strategy::OraclePath,
+                reason: format!("hub-label build failed: {e}"),
+            })?;
+            if span.is_enabled() {
+                span.set_detail(format!("backend=hub n={n} entries={}", src.label_entries()));
+            }
+            (Distances::Source(src), diameter)
+        } else {
+            let matrix = DistanceMatrix::compute(g);
+            let diameter = matrix.diameter();
+            if oracle_path {
+                (Distances::Source(DistanceSource::dense(matrix)), diameter)
+            } else {
+                (Distances::Matrix(matrix), diameter)
+            }
+        };
+        Ok(Ctx {
             g,
-            p,
-            reduced: None,
-            reductions_computed: 0,
-            source: None,
-            oracle_builds: 0,
-            oracle_dense_fallback: false,
+            p: &req.pvec,
+            dist,
+            features: InstanceFeatures::new(g, &req.pvec, diameter),
+            oracle_dense_fallback: oracle_path && !hub && req.oracle == OraclePolicy::Auto,
             routes_tried: Vec::new(),
             notes: Vec::new(),
             timed_out: false,
             bound_time_us: 0,
+        })
+    }
+
+    /// The all-pairs matrix; only an oracle-path request has none to read.
+    fn matrix(&self) -> &DistanceMatrix {
+        match &self.dist {
+            Distances::Matrix(m) => m,
+            Distances::Reduced(r) => &r.dist,
+            Distances::Source(_) => unreachable!("oracle-path requests read their source"),
         }
     }
 
-    /// The request's single reduction (smoothness-checked), computed on
-    /// first use.
+    /// The oracle path's source.
+    fn source(&self) -> &DistanceSource {
+        match &self.dist {
+            Distances::Source(src) => src,
+            _ => unreachable!("only oracle-path requests hold a source"),
+        }
+    }
+
+    /// The reduction, once a route has built it.
+    fn reduction(&self) -> Option<&ReducedInstance> {
+        match &self.dist {
+            Distances::Reduced(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// The request's Theorem 2 reduction, built over its matrix on first
+    /// use. It needs only the scope (`diam(G) ≤ k`): the routes whose
+    /// labelings rest on Claim 1 refused non-smooth `p` in [`refuse`].
     fn reduced(&mut self) -> Result<&ReducedInstance, ReductionError> {
-        if self.reduced.is_none() {
+        if let Distances::Matrix(m) = &mut self.dist {
+            check_scope(self.features.diameter, self.p)?;
             let _span = dclab_trace::current().span("reduce");
-            self.reduced = Some(reduce_to_path_tsp(self.g, self.p)?);
-            self.reductions_computed += 1;
+            self.dist = Distances::Reduced(reduce_matrix(std::mem::take(m), self.p));
         }
-        Ok(self.reduced.as_ref().expect("just computed"))
+        Ok(self.reduction().expect("oracle-path requests never reduce"))
     }
 
-    /// The request's single reduction *without* the smoothness check (the
-    /// weight matrix is well-defined whenever `diam ≤ k`; routes using it
-    /// construct labelings via the always-valid tight recovery).
-    fn reduced_unchecked(&mut self) -> Result<&ReducedInstance, ReductionError> {
-        if self.reduced.is_none() {
-            let _span = dclab_trace::current().span("reduce");
-            self.reduced = Some(reduce_unchecked(self.g, self.p)?);
-            self.reductions_computed += 1;
+    /// Check a labeling against the request's distances. Oracle-routed
+    /// solves read them through the source the route used, so its query
+    /// count covers validation.
+    fn validate(&self, labeling: &Labeling) -> Result<(), Violation> {
+        match &self.dist {
+            Distances::Source(src) => labeling.validate_with_source(src, self.p),
+            _ => labeling.validate_with_distances(self.matrix(), self.p),
         }
-        Ok(self.reduced.as_ref().expect("just computed"))
-    }
-
-    /// The request's single distance source, built on first use under the
-    /// `oracle_build` span. `policy` resolves here: explicit backends are
-    /// honored; `Auto` picks hub labels exactly when the dense pipeline
-    /// would cross [`AUTO_HUB_THRESHOLD_BYTES`].
-    fn source(&mut self, policy: OraclePolicy) -> Result<&DistanceSource, EngineError> {
-        if self.source.is_none() {
-            let trace = dclab_trace::current();
-            let mut span = trace.span("oracle_build");
-            let n = self.g.n();
-            let use_hub = match policy {
-                OraclePolicy::Dense => false,
-                OraclePolicy::Hub => true,
-                OraclePolicy::Auto => dense_pipeline_bytes(n) > AUTO_HUB_THRESHOLD_BYTES,
-            };
-            if policy == OraclePolicy::Auto && !use_hub {
-                self.oracle_dense_fallback = true;
-            }
-            let src = if use_hub {
-                DistanceSource::build_hub(self.g).map_err(|e| EngineError::Unsupported {
-                    strategy: Strategy::OraclePath,
-                    reason: format!("hub-label build failed: {e}"),
-                })?
-            } else {
-                DistanceSource::build_dense(self.g)
-            };
-            if span.is_enabled() {
-                span.set_detail(format!(
-                    "backend={} n={n} entries={}",
-                    src.backend_name(),
-                    src.label_entries()
-                ));
-            }
-            self.source = Some(src);
-            self.oracle_builds += 1;
-        }
-        Ok(self.source.as_ref().expect("just built"))
     }
 
     fn note(&mut self, msg: impl Into<String>) {
@@ -223,7 +266,7 @@ impl<'a> Ctx<'a> {
 
 /// Solve one request. The single front door: every strategy, including the
 /// `Auto` and `Race` portfolios, goes through here. The wall clock (when
-/// `Budget::deadline_ms` is set) starts here, so reduction and feature
+/// `Budget::deadline_ms` is set) starts here, so distances and feature
 /// extraction spend from the same budget as the search.
 ///
 /// When the caller has a live [`dclab_trace::Trace`] installed, the solve
@@ -233,12 +276,15 @@ impl<'a> Ctx<'a> {
 /// is bit-identical to a pre-trace build — timings never enter
 /// deterministic output.
 ///
-/// A request for more restarts than [`dclab_core::guard::MAX_RESTARTS`] is
-/// refused with a guard error before any work, whatever its strategy.
+/// A request for more restarts than [`dclab_core::guard::MAX_RESTARTS`],
+/// or one whose spans could reach 2⁵³ (`2·n·p_max`, see
+/// [`dclab_core::guard::LABEL_RANGE`]), is refused with a guard error
+/// before any work, whatever its strategy.
 pub fn solve(req: &SolveRequest) -> Result<SolveReport, EngineError> {
     if let Some(restarts) = req.budget.restarts {
         check_restarts(restarts)?;
     }
+    check_label_range(req.graph.n(), req.pvec.pmax())?;
     let trace = dclab_trace::current();
     if !trace.is_enabled() {
         return solve_impl(req);
@@ -271,8 +317,10 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
     let deadline = req.budget.deadline();
     let g = &req.graph;
     let p = &req.pvec;
-    let features = InstanceFeatures::extract(g, p);
-    let mut ctx = Ctx::new(g, p);
+    if g.n() > 1 {
+        refuse(req)?;
+    }
+    let mut ctx = Ctx::new(req)?;
 
     if g.n() <= 1 {
         // Trivial instances short-circuit before any route machinery.
@@ -282,7 +330,6 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
         return finish(
             req,
             ctx,
-            features,
             solution,
             Strategy::Greedy,
             SpanBound::degree(0),
@@ -292,9 +339,7 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
 
     let (solution, used, bound, proved_optimal) = match req.strategy {
         Strategy::Exact => {
-            check_exact_size(g.n())?;
-            let reduced = ctx.reduced()?;
-            let sol = routes::exact_route(reduced)?;
+            let sol = routes::exact_route(ctx.reduced()?)?;
             ctx.routes_tried.push(Strategy::Exact);
             let lb = SpanBound::proved(sol.span);
             (sol, Strategy::Exact, lb, true)
@@ -316,12 +361,12 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
                 &deadline,
                 "deadline fired during christofides (not interruptible)",
             );
-            let lb = certificate(&mut ctx, req, true, &deadline);
+            let lb = certificate(&mut ctx, req, &deadline);
             (sol, Strategy::Approx15, lb, false)
         }
         Strategy::Heuristic => heuristic_strategy(&mut ctx, req, &deadline)?,
         Strategy::Greedy => {
-            let sol = routes::greedy_route(g, p, &deadline);
+            let sol = routes::greedy_route(g, ctx.matrix(), p, &deadline);
             ctx.routes_tried.push(Strategy::Greedy);
             ctx.overrun(
                 &deadline,
@@ -337,13 +382,13 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
         Strategy::L1Coloring => {
             let engine = l1_engine(g);
             ctx.note(format!("coloring G^{} with {engine:?}", p.k()));
-            let sol = solve_pmax_approx(g, p, engine);
+            let sol = solve_pmax_approx(ctx.matrix(), p, engine);
             ctx.routes_tried.push(Strategy::L1Coloring);
             ctx.overrun(
                 &deadline,
                 "deadline fired during coloring (not interruptible)",
             );
-            let proved = features.all_ones && engine == L1Engine::Exact;
+            let proved = ctx.features.all_ones && engine == L1Engine::Exact;
             let lb = if proved {
                 SpanBound::proved(sol.span)
             } else {
@@ -351,37 +396,54 @@ fn solve_impl(req: &SolveRequest) -> Result<SolveReport, EngineError> {
             };
             (sol, Strategy::L1Coloring, lb, proved)
         }
-        Strategy::OraclePath => oracle_path_strategy(&mut ctx, req, &features, &deadline)?,
-        Strategy::Diam2Pip => diam2_route(&mut ctx, &features, true)?,
-        Strategy::Auto => auto_route(&mut ctx, req, &features, &deadline)?,
-        Strategy::Race => race_route(&mut ctx, req, &features, &deadline)?,
+        Strategy::OraclePath => oracle_path_strategy(&mut ctx, &deadline),
+        Strategy::Diam2Pip => diam2_route(&mut ctx, true)?,
+        Strategy::Auto => auto_route(&mut ctx, req, &deadline)?,
+        Strategy::Race => race_route(&mut ctx, req, &deadline)?,
     };
 
-    finish(req, ctx, features, solution, used, bound, proved_optimal)
+    finish(req, ctx, solution, used, bound, proved_optimal)
 }
 
-/// The `OraclePath` strategy body: one distance source per request
-/// (dense or hub per the request's [`OraclePolicy`]), the matrix-free
-/// clamped Claim 1 route over it, and the reduction-free cheap
-/// certificate. Every piece is backend-agnostic, so dense- and
-/// hub-backed solves of one instance report identical solutions, bounds,
-/// and optimality flags.
-fn oracle_path_strategy(
-    ctx: &mut Ctx<'_>,
-    req: &SolveRequest,
-    features: &InstanceFeatures,
-    deadline: &Deadline,
-) -> Result<Routed, EngineError> {
+/// Refusals that read no distance, made before the request computes any:
+/// the exact route's size guard, and the routes that need Claim 1's smooth
+/// `p` (their labelings are prefix sums) or an `L(p, q)` vector.
+fn refuse(req: &SolveRequest) -> Result<(), EngineError> {
+    let p = &req.pvec;
+    match req.strategy {
+        Strategy::Exact => {
+            check_exact_size(req.graph.n())?;
+            check_smooth(p)?;
+        }
+        Strategy::BranchBound | Strategy::Approx15 | Strategy::Heuristic => check_smooth(p)?,
+        Strategy::OraclePath if !p.is_smooth() => {
+            return Err(EngineError::Unsupported {
+                strategy: Strategy::OraclePath,
+                reason: format!(
+                    "clamped Claim 1 labeling needs smooth p (p_max ≤ 2·p_min), got {p}"
+                ),
+            });
+        }
+        Strategy::Diam2Pip if p.k() != 2 => {
+            return Err(EngineError::Unsupported {
+                strategy: Strategy::Diam2Pip,
+                reason: format!("needs |p| = 2, got {}", p.k()),
+            });
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
+/// The `OraclePath` strategy body: the clamped Claim 1 route over the
+/// request's distance source (dense or hub per its [`OraclePolicy`]), and
+/// the reduction-free cheap certificate. Every piece is backend-agnostic,
+/// so dense- and hub-backed solves of one instance report identical
+/// solutions, bounds, and optimality flags.
+fn oracle_path_strategy(ctx: &mut Ctx<'_>, deadline: &Deadline) -> Routed {
     let g = ctx.g;
     let p = ctx.p;
-    if !features.smooth {
-        return Err(EngineError::Unsupported {
-            strategy: Strategy::OraclePath,
-            reason: format!("clamped Claim 1 labeling needs smooth p (p_max ≤ 2·p_min), got {p}"),
-        });
-    }
-    let src = ctx.source(req.oracle)?;
-    let sol = oracle_path_route(g, p, src);
+    let sol = oracle_path_route(g, p, ctx.source());
     ctx.routes_tried.push(Strategy::OraclePath);
     ctx.overrun(
         deadline,
@@ -389,21 +451,20 @@ fn oracle_path_strategy(
     );
     // Cheap, O(n)-memory certificate: never touches the reduction, and
     // never depends on the distance backend.
-    let lb = span_lower_bound_cheap(g, p, features.diameter);
+    let lb = span_lower_bound_cheap(g, p, ctx.features.diameter);
     let proved = sol.span == lb;
-    Ok((sol, Strategy::OraclePath, SpanBound::degree(lb), proved))
+    (sol, Strategy::OraclePath, SpanBound::degree(lb), proved)
 }
 
 /// The portfolio dispatcher behind `Strategy::Auto`.
 fn auto_route(
     ctx: &mut Ctx<'_>,
     req: &SolveRequest,
-    features: &InstanceFeatures,
     deadline: &Deadline,
 ) -> Result<Routed, EngineError> {
     let n = ctx.g.n();
 
-    if features.smooth && dense_pipeline_bytes(n) > AUTO_HUB_THRESHOLD_BYTES {
+    if let Distances::Source(_) = ctx.dist {
         // Past the memory wall the matrix-bound routes are off the table;
         // the oracle path is the only pipeline that scales, and it does
         // not need the Theorem 2 preconditions beyond smoothness.
@@ -412,47 +473,56 @@ fn auto_route(
             dense_pipeline_bytes(n) >> 20,
             AUTO_HUB_THRESHOLD_BYTES >> 20
         ));
-        return oracle_path_strategy(ctx, req, features, deadline);
+        return Ok(oracle_path_strategy(ctx, deadline));
     }
 
-    if !features.reducible() {
+    if !ctx.features.reducible() {
         // Disconnected or diameter > k: outside Theorem 2 entirely.
-        ctx.note(match features.diameter {
+        ctx.note(match ctx.features.diameter {
             None => "disconnected → reduction-free fallback".to_string(),
-            Some(d) => format!("diameter {d} > k={} → reduction-free fallback", features.k),
+            Some(d) => format!(
+                "diameter {d} > k={} → reduction-free fallback",
+                ctx.features.k
+            ),
         });
         return Ok(fallback_portfolio(ctx, deadline));
     }
 
-    if !features.smooth {
+    if !ctx.features.smooth {
         // Claim 1's equality needs p_max ≤ 2·p_min. Without it, prefer the
         // certified diameter-2 PIP route when it applies, else the best of
         // the reduction-free upper bounds, certified by the (still sound)
         // TSP lower bound.
         ctx.note("p not smooth → TSP equality unavailable");
-        if features.two_valued && diam2_applicable(ctx, features) {
-            return diam2_route(ctx, features, false);
+        if diam2_applicable(ctx) {
+            return diam2_route(ctx, false);
         }
         let (sol, used, _, _) = fallback_portfolio(ctx, deadline);
-        let lb = certificate(ctx, req, false, deadline);
+        let lb = certificate(ctx, req, deadline);
         let proved = sol.span == lb.value;
         return Ok((sol, used, lb, proved));
     }
 
     if n <= EXACT_MAX_N {
-        ctx.note(format!("n={n} ≤ exact guard {EXACT_MAX_N} → Held–Karp"));
-        let sol = routes::exact_route(ctx.reduced()?)?;
-        ctx.routes_tried.push(Strategy::Exact);
-        let lb = SpanBound::proved(sol.span);
-        return Ok((sol, Strategy::Exact, lb, true));
+        // The exact route refuses weights whose path sums its DP cannot
+        // hold; Auto then takes the next leg.
+        match routes::exact_route(ctx.reduced()?) {
+            Ok(sol) => {
+                ctx.note(format!("n={n} ≤ exact guard {EXACT_MAX_N} → Held–Karp"));
+                ctx.routes_tried.push(Strategy::Exact);
+                let lb = SpanBound::proved(sol.span);
+                return Ok((sol, Strategy::Exact, lb, true));
+            }
+            Err(e) => ctx.note(format!("{e} → Held–Karp skipped")),
+        }
     }
 
-    if features.two_valued {
+    if ctx.features.two_valued {
         // Benign regime: two-valued weight matrix. Poly PIP route first
         // when available, else budgeted branch and bound.
-        if diam2_applicable(ctx, features) {
+        if diam2_applicable(ctx) {
             ctx.note("diameter-2 L(p,q) with PIP solver available → Corollary 2");
-            return diam2_route(ctx, features, false);
+            return diam2_route(ctx, false);
         }
         ctx.note(format!(
             "two-valued weights → branch and bound (budget {})",
@@ -485,7 +555,7 @@ fn heuristic_strategy(
         deadline,
         "deadline fired during local search → best incumbent",
     );
-    let lb = certificate(ctx, req, true, deadline);
+    let lb = certificate(ctx, req, deadline);
     Ok((sol, Strategy::Heuristic, lb, false))
 }
 
@@ -503,7 +573,7 @@ fn branch_bound_strategy(
 ) -> Result<Option<Routed>, EngineError> {
     ctx.reduced()?;
     let root = root_bound(ctx, req, deadline);
-    let reduced = ctx.reduced.as_ref().expect("just computed");
+    let reduced = ctx.reduction().expect("just built");
     let (sol, status) = routes::branch_bound_route_anytime(
         reduced,
         req.budget.node_budget(),
@@ -618,15 +688,18 @@ struct MemberRun {
 /// worker pool it cannot starve the LK members that follow it. Proofs
 /// come from the root-bound check (cheap, early) or not at all at racing
 /// sizes — the slice costs nothing real.
+///
+/// Every member reads the request's distances read-only: greedy and L1
+/// the matrix `dist`, LK and branch and bound the reduction that owns it.
 fn run_race_member(
     member: RaceMember,
-    g: &Graph,
-    p: &PVec,
+    dist: &DistanceMatrix,
     reduced: Option<&ReducedInstance>,
     req: &SolveRequest,
     deadline: &Deadline,
     arms: BbArms<'_>,
 ) -> MemberRun {
+    let (g, p) = (&req.graph, &req.pvec);
     let strategy = member.strategy();
     // Each member gets its own span on its worker thread; the parent link
     // (the race span) rode across the fan-out with the installed trace.
@@ -639,12 +712,12 @@ fn run_race_member(
         RaceMember::Greedy => MemberRun {
             // Order-granular anytime greedy: the first vertex order always
             // completes, so even an expired deadline harvests a labeling.
-            solution: routes::greedy_route(g, p, deadline),
+            solution: routes::greedy_route(g, dist, p, deadline),
             strategy,
             proved: false,
         },
         RaceMember::L1 => MemberRun {
-            solution: solve_pmax_approx(g, p, l1_engine(g)),
+            solution: solve_pmax_approx(dist, p, l1_engine(g)),
             strategy,
             proved: false,
         },
@@ -708,7 +781,6 @@ fn run_race_member(
 fn race_route(
     ctx: &mut Ctx<'_>,
     req: &SolveRequest,
-    features: &InstanceFeatures,
     deadline: &Deadline,
 ) -> Result<Routed, EngineError> {
     // Sharing (incumbent bound + first-proof cancellation) is armed only
@@ -716,13 +788,13 @@ fn race_route(
     // and the deadline-free contract is bit-identical reports across
     // thread counts.
     let armed = !deadline.is_unlimited();
-    let members = race_members(features, armed);
+    let members = race_members(&ctx.features, armed);
     let needs_reduction = members
         .iter()
         .any(|m| matches!(m, RaceMember::Lk { .. } | RaceMember::Bb));
     if needs_reduction {
-        // The request's single reduction, computed before the fan-out and
-        // shared read-only by every member.
+        // The request's reduction, built before the fan-out and shared
+        // read-only by every member, as its matrix is.
         ctx.reduced()?;
         ctx.note(format!(
             "race: {} members over one reduction",
@@ -759,14 +831,14 @@ fn race_route(
 
     let g = ctx.g;
     let p = ctx.p;
-    let reduced = ctx.reduced.as_ref();
+    let dist = ctx.matrix();
+    let reduced = ctx.reduction();
     let root_value = root.map(|b| b.value);
     let race_span = dclab_trace::current().span("race");
     let runs: Vec<MemberRun> = dclab_par::par_map(&members, |&member| {
         let run = run_race_member(
             member,
-            g,
-            p,
+            dist,
             reduced,
             req,
             &member_deadline,
@@ -819,9 +891,10 @@ fn race_route(
     } else if timed_out {
         // The armed race already paid for the root certificate — it
         // dominates the degree floor (the ladder folds degree in).
-        root.unwrap_or_else(|| SpanBound::degree(span_lower_bound_cheap(g, p, features.diameter)))
+        let diameter = ctx.features.diameter;
+        root.unwrap_or_else(|| SpanBound::degree(span_lower_bound_cheap(g, p, diameter)))
     } else {
-        certificate(ctx, req, needs_reduction, deadline)
+        certificate(ctx, req, deadline)
     };
     let strategy = members[win_idx].strategy();
     let solution = runs
@@ -834,8 +907,8 @@ fn race_route(
 
 /// Can Corollary 2 run here in polynomial/bounded time? (k = 2, diam ≤ 2,
 /// and either the subset DP fits or the PIP target is a cograph.)
-fn diam2_applicable(ctx: &Ctx<'_>, features: &InstanceFeatures) -> bool {
-    features.two_valued && (ctx.g.n() <= 20 || features.cograph)
+fn diam2_applicable(ctx: &Ctx<'_>) -> bool {
+    ctx.features.two_valued && (ctx.g.n() <= 20 || ctx.features.cograph)
 }
 
 /// Corollary 2: diameter-2 `L(p,q)` via Partition into Paths. The PIP
@@ -843,25 +916,16 @@ fn diam2_applicable(ctx: &Ctx<'_>, features: &InstanceFeatures) -> bool {
 /// decompose into PIP runs), so it is always reported as `lower_bound`;
 /// achieving it needs the smooth regime, where the witness labeling lands
 /// exactly on it. The labeling is rebuilt from a PIP witness through the
-/// request's single (unchecked) reduction via the always-valid tight
-/// recovery.
-fn diam2_route(
-    ctx: &mut Ctx<'_>,
-    features: &InstanceFeatures,
-    explicit: bool,
-) -> Result<Routed, EngineError> {
+/// request's reduction via the always-valid tight recovery. Both callers
+/// hold `|p| = 2`: `Auto` by `two_valued`, the explicit strategy by
+/// [`refuse`].
+fn diam2_route(ctx: &mut Ctx<'_>, explicit: bool) -> Result<Routed, EngineError> {
     let g = ctx.g;
     let p = ctx.p;
-    if features.k != 2 {
-        return Err(EngineError::Unsupported {
-            strategy: Strategy::Diam2Pip,
-            reason: format!("needs |p| = 2, got {}", features.k),
-        });
-    }
     let (pv, qv) = (p.at_distance(1), p.at_distance(2));
     let solver = if g.n() <= 20 {
         PipSolver::SubsetDp
-    } else if features.cograph {
+    } else if ctx.features.cograph {
         // Cographs are closed under complement, so the cotree DP covers
         // both PIP targets.
         PipSolver::Cotree
@@ -873,18 +937,20 @@ fn diam2_route(
     } else {
         unreachable!("auto dispatch checks diam2_applicable first");
     };
-    // One call computes the eligibility checks, the PIP target (complement
-    // included), the certified value, and the witness partition.
-    let (d2, paths) = solve_diam2_lpq_with_witness(g, pv, qv, solver).map_err(|e| match e {
-        Diam2Error::NotDiameter2 => EngineError::Unsupported {
-            strategy: Strategy::Diam2Pip,
-            reason: "graph is not connected with diameter ≤ 2".into(),
-        },
-        Diam2Error::TooLarge | Diam2Error::NotCograph => EngineError::Unsupported {
-            strategy: Strategy::Diam2Pip,
-            reason: format!("PIP solver rejected the instance: {e:?}"),
-        },
-    })?;
+    // One call makes the eligibility checks at the request's diameter and
+    // computes the PIP target (complement included), the certified value,
+    // and the witness partition.
+    let (d2, paths) = solve_diam2_lpq_with_witness(g, ctx.features.diameter, pv, qv, solver)
+        .map_err(|e| match e {
+            Diam2Error::NotDiameter2 => EngineError::Unsupported {
+                strategy: Strategy::Diam2Pip,
+                reason: "graph is not connected with diameter ≤ 2".into(),
+            },
+            Diam2Error::TooLarge | Diam2Error::NotCograph => EngineError::Unsupported {
+                strategy: Strategy::Diam2Pip,
+                reason: format!("PIP solver rejected the instance: {e:?}"),
+            },
+        })?;
     ctx.routes_tried.push(Strategy::Diam2Pip);
     ctx.note(format!(
         "PIP: {} paths on {} ({:?})",
@@ -896,8 +962,7 @@ fn diam2_route(
     // Rebuild a labeling from the witness: concatenate the partition's
     // paths and take the tightest labeling realizing that order.
     let order: Vec<u32> = paths.iter().flatten().map(|&v| v as u32).collect();
-    let reduced = ctx.reduced_unchecked()?;
-    let labeling = tight_labeling_for_order(reduced, &order);
+    let labeling = tight_labeling_for_order(ctx.reduced()?, &order);
     let span = labeling.span();
     if span != d2.span {
         // Witness did not land on the PIP value (greedy partition on a
@@ -925,14 +990,14 @@ fn diam2_route(
 }
 
 /// Reduction-free upper bounds: greedy first-fit vs. the `p_max`-scaled
-/// coloring (Corollary 3), both valid on any graph. Deterministic pick:
-/// smaller span wins, ties to greedy.
+/// coloring (Corollary 3), both valid on any graph and both read off the
+/// request's matrix. Deterministic pick: smaller span wins, ties to greedy.
 fn fallback_portfolio(ctx: &mut Ctx<'_>, deadline: &Deadline) -> Routed {
     let g = ctx.g;
     let p = ctx.p;
-    let greedy = routes::greedy_route(g, p, &Deadline::none());
+    let greedy = routes::greedy_route(g, ctx.matrix(), p, &Deadline::none());
+    let pmax = solve_pmax_approx(ctx.matrix(), p, l1_engine(g));
     ctx.routes_tried.push(Strategy::Greedy);
-    let pmax = solve_pmax_approx(g, p, l1_engine(g));
     ctx.routes_tried.push(Strategy::L1Coloring);
     let lb = degree_bound(g, p);
     let out = if pmax.span < greedy.span {
@@ -962,35 +1027,25 @@ fn l1_engine(g: &Graph) -> L1Engine {
     }
 }
 
-/// Lower-bound certificate from the request's single reduction (checked
-/// when the caller is on a smooth path, unchecked otherwise — both yield
-/// sound bounds; the unchecked one works without smoothness). An expired
-/// deadline downgrades to the O(n)-cheap degree bound: the Held–Karp
-/// ascent would spend wall-clock the caller no longer has.
-fn certificate(
-    ctx: &mut Ctx<'_>,
-    req: &SolveRequest,
-    checked: bool,
-    deadline: &Deadline,
-) -> SpanBound {
+/// Lower-bound certificate from the request's reduction, which every rung
+/// reads soundly without smoothness; outside Theorem 2's scope, the
+/// degree bound. An expired deadline downgrades to the O(n)-cheap degree
+/// bound: the Held–Karp ascent would spend wall-clock the caller no longer
+/// has.
+fn certificate(ctx: &mut Ctx<'_>, req: &SolveRequest, deadline: &Deadline) -> SpanBound {
+    let (g, p) = (ctx.g, ctx.p);
     if deadline.expired() {
-        return SpanBound::degree(degree_bound(ctx.g, ctx.p));
+        return SpanBound::degree(degree_bound(g, p));
     }
     let _span = dclab_trace::current().span("lower_bound");
-    let ensured = if checked {
-        ctx.reduced().is_ok()
-    } else {
-        ctx.reduced_unchecked().is_ok()
+    let Ok(reduced) = ctx.reduced() else {
+        return SpanBound::degree(degree_bound(g, p));
     };
-    if !ensured {
-        return SpanBound::degree(degree_bound(ctx.g, ctx.p));
-    }
-    let reduced = ctx.reduced.as_ref().expect("just ensured");
     // Armed solves meter the certificate's wall-clock (stats.bound.time_us)
     // and cap the ascent with the live deadline; deadline-free solves pass
     // Deadline::none() through, keeping the computation clock-free.
     let started = (!deadline.is_unlimited()).then(Instant::now);
-    let bound = span_bound_with_reduction(ctx.g, ctx.p, reduced, req.budget.lb_iters(), deadline);
+    let bound = span_bound_with_reduction(g, p, reduced, req.budget.lb_iters(), deadline);
     if let Some(t0) = started {
         ctx.bound_time_us += t0.elapsed().as_micros() as u64;
     }
@@ -1004,12 +1059,12 @@ fn certificate(
 /// slice yields an `hk-ascent`-kind certificate, while the cap keeps the
 /// bulk of the budget for the search or the racing members.
 ///
-/// The caller must have computed `ctx.reduced` already.
+/// The caller must have built the reduction already.
 fn root_bound(ctx: &mut Ctx<'_>, req: &SolveRequest, deadline: &Deadline) -> Option<SpanBound> {
     if deadline.is_unlimited() {
         return None;
     }
-    let reduced = ctx.reduced.as_ref()?;
+    let reduced = ctx.reduction()?;
     let _span = dclab_trace::current().span("lower_bound");
     let started = Instant::now();
     let slice = deadline_slice(deadline, 8);
@@ -1043,12 +1098,12 @@ fn heuristic_config(req: &SolveRequest, deadline: &Deadline) -> HeuristicConfig 
     cfg
 }
 
-/// Validate, assemble the report, and enforce the engine's invariants
-/// (≤ 1 reduction; strategy_used is concrete).
+/// Validate, assemble the report, and enforce the engine's invariants:
+/// the labeling is valid, its span is its largest label and at least its
+/// bound, and strategy_used is concrete.
 fn finish(
     req: &SolveRequest,
     ctx: Ctx<'_>,
-    features: InstanceFeatures,
     solution: Solution,
     used: Strategy,
     mut bound: SpanBound,
@@ -1056,34 +1111,20 @@ fn finish(
 ) -> Result<SolveReport, EngineError> {
     debug_assert_ne!(used, Strategy::Auto);
     debug_assert_ne!(used, Strategy::Race);
-    if ctx.reductions_computed > 1 {
-        return Err(EngineError::Internal(format!(
-            "reduction computed {} times for one request",
-            ctx.reductions_computed
-        )));
-    }
-    if ctx.oracle_builds > 1 {
-        return Err(EngineError::Internal(format!(
-            "distance oracle built {} times for one request",
-            ctx.oracle_builds
-        )));
-    }
     let valid = {
         let _span = dclab_trace::current().span("validate");
-        // Every arm runs the labeling's one windowed check. Oracle-routed
-        // solves read distances through the source the route used, so its
-        // query count covers validation.
-        match (&ctx.reduced, &ctx.source) {
-            (Some(r), _) => solution
-                .labeling
-                .validate_with_distances(&r.dist, &req.pvec),
-            (None, Some(src)) => solution.labeling.validate_with_source(src, &req.pvec),
-            (None, None) => solution.labeling.validate(&req.graph, &req.pvec),
-        }
+        ctx.validate(&solution.labeling)
     };
     if let Err(v) = valid {
         return Err(EngineError::Internal(format!(
             "route {used} produced an invalid labeling: {v:?}"
+        )));
+    }
+    if solution.span != solution.labeling.span() {
+        return Err(EngineError::Internal(format!(
+            "route {used} reported span {} for labels up to {}",
+            solution.span,
+            solution.labeling.span()
         )));
     }
     if solution.span < bound.value {
@@ -1093,15 +1134,20 @@ fn finish(
         )));
     }
     // Snapshot oracle usage after validation so the query count covers
-    // the whole request (route + windowed validation).
-    let oracle = ctx.source.as_ref().map(|src| OracleStats {
-        backend: src.backend_name().to_string(),
-        builds: ctx.oracle_builds,
-        label_entries: src.label_entries(),
-        footprint_bytes: src.footprint_bytes(),
-        queries: src.queries(),
-        dense_fallback: ctx.oracle_dense_fallback,
-    });
+    // the whole request (route + windowed validation). Each distance state
+    // is built at most once, so a source or a reduction counts one build.
+    let oracle = match &ctx.dist {
+        Distances::Source(src) => Some(OracleStats {
+            backend: src.backend_name().to_string(),
+            builds: 1,
+            label_entries: src.label_entries(),
+            footprint_bytes: src.footprint_bytes(),
+            queries: src.queries(),
+            dense_fallback: ctx.oracle_dense_fallback,
+        }),
+        _ => None,
+    };
+    let reductions_computed = usize::from(ctx.reduction().is_some());
     let optimal = proved_optimal || solution.span == bound.value;
     if optimal {
         // The span is the proved optimum, which is itself a valid lower
@@ -1115,7 +1161,7 @@ fn finish(
         lower_bound: bound.value,
         optimal,
         stats: EngineStats {
-            reductions_computed: ctx.reductions_computed,
+            reductions_computed,
             routes_tried: ctx.routes_tried,
             notes: ctx.notes,
             // "Timed out" means the clock beat the proof: a harvest that
@@ -1127,7 +1173,7 @@ fn finish(
                 ascent_iters: bound.ascent_iters,
                 time_us: ctx.bound_time_us,
             },
-            features,
+            features: ctx.features,
             // Filled by the traced `solve` wrapper; empty (and absent from
             // JSON) for untraced solves.
             phases: Vec::new(),
@@ -1140,6 +1186,7 @@ fn finish(
 mod tests {
     use super::*;
     use crate::request::Budget;
+    use dclab_core::reduction::reduce_to_path_tsp;
     use dclab_graph::generators::{classic, random};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1169,13 +1216,13 @@ mod tests {
             } else {
                 None
             };
+            let dist = DistanceMatrix::compute(&g);
             let solo: Vec<MemberRun> = members
                 .iter()
                 .map(|&m| {
                     run_race_member(
                         m,
-                        &g,
-                        &p,
+                        &dist,
                         reduced.as_ref(),
                         &req,
                         &Deadline::none(),
@@ -1469,6 +1516,36 @@ mod tests {
     fn auto_hub_threshold_crossover() {
         assert!(dense_pipeline_bytes(9459) <= AUTO_HUB_THRESHOLD_BYTES);
         assert!(dense_pipeline_bytes(9460) > AUTO_HUB_THRESHOLD_BYTES);
+    }
+
+    /// `finish` holds a route to the span it reports: a span field that is
+    /// not the largest label is an engine error, not a report (a wrapped
+    /// path sum once reported span 4 for labels up to 4 294 967 300).
+    #[test]
+    fn finish_refuses_a_span_that_is_not_the_largest_label() {
+        let req = SolveRequest::new(classic::complete(3), PVec::l21());
+        let run = |span: u64| {
+            let ctx = Ctx::new(&req).expect("dense context");
+            let mut solution = Solution::from_labeling(Labeling::new(vec![0, 2, 4]));
+            solution.span = span;
+            finish(
+                &req,
+                ctx,
+                solution,
+                Strategy::Greedy,
+                SpanBound::degree(0),
+                false,
+            )
+        };
+        assert_eq!(run(4).expect("consistent solution").solution.span, 4);
+        for wrong in [3, 5] {
+            match run(wrong) {
+                Err(EngineError::Internal(msg)) => {
+                    assert!(msg.contains("labels up to 4"), "{msg}")
+                }
+                other => panic!("span {wrong}: expected Internal, got {other:?}"),
+            }
+        }
     }
 
     /// The clamped route needs smooth `p`; the engine refuses rather than

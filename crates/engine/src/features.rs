@@ -38,20 +38,21 @@ pub struct InstanceFeatures {
 }
 
 impl InstanceFeatures {
-    /// Extract features. Two of them carry the cost:
-    ///
-    /// - The exact diameter (`dclab_graph::diameter`). A universal vertex
-    ///   settles it with one `O(n)` degree scan. Any other graph pays the
-    ///   streaming bit-parallel sweep from every source: `O(n)` memory, but
-    ///   `n` BFS waves of work — hundreds of milliseconds at n = 12 000 —
-    ///   with no deadline check.
-    /// - The cograph flag, `O(n + m)` per cotree level, for
-    ///   `n ≤ COGRAPH_CHECK_MAX_N`.
-    ///
-    /// The full distance matrix lives in the reduction, which the engine
-    /// computes separately (and once).
+    /// Extract features, computing the exact diameter
+    /// (`dclab_graph::diameter`). A universal vertex settles it with one
+    /// `O(n)` degree scan. Any other graph pays the streaming bit-parallel
+    /// sweep from every source: `O(n)` memory, but `n` BFS waves of work —
+    /// hundreds of milliseconds at n = 12 000 — with no deadline check.
+    /// The engine reads the diameter off the request's distance matrix
+    /// instead when it has one.
     pub fn extract(g: &Graph, p: &PVec) -> InstanceFeatures {
-        let diam = diameter(g);
+        InstanceFeatures::new(g, p, diameter(g))
+    }
+
+    /// Features at a known diameter (`None` when disconnected). The cost
+    /// left is the cograph flag, `O(n + m)` per cotree level, for
+    /// `n ≤ COGRAPH_CHECK_MAX_N`.
+    pub(crate) fn new(g: &Graph, p: &PVec, diam: Option<u32>) -> InstanceFeatures {
         let k = p.k();
         let two_valued = k == 2 && matches!(diam, Some(d) if d <= 2);
         InstanceFeatures {

@@ -413,3 +413,206 @@ fn oracle_path_proves_core_periphery_optimal() {
         assert_eq!(json[0], json[1], "{p}: dense and hub reports differ");
     }
 }
+
+/// Every strategy the engine names.
+const ALL_STRATEGIES: [Strategy; 10] = [
+    Strategy::Exact,
+    Strategy::BranchBound,
+    Strategy::Approx15,
+    Strategy::Heuristic,
+    Strategy::Greedy,
+    Strategy::Diam2Pip,
+    Strategy::L1Coloring,
+    Strategy::Auto,
+    Strategy::Race,
+    Strategy::OraclePath,
+];
+
+/// One all-pairs pass per request: a traced solve of every strategy (the
+/// race also at `deadline_ms: 0`, the oracle path under each policy)
+/// records at most one `apsp` span, the streaming diameter sweep
+/// included, whether it answers or refuses. The graphs sit below the
+/// memory wall and cover both sides of the reduction's scope.
+#[test]
+fn one_all_pairs_pass_per_request() {
+    let mut rng = StdRng::seed_from_u64(0xA95);
+    let diam2 = |rng: &mut StdRng, n: usize| loop {
+        let g = random::gnp_with_diameter_at_most(rng, n, 0.5, 2);
+        if g.universal_count() == 0 {
+            return g;
+        }
+    };
+    let graphs = vec![
+        ("petersen", classic::petersen()),
+        ("gnp-d2-n16", diam2(&mut rng, 16)),
+        ("gnp-d2-n40", diam2(&mut rng, 40)),
+        (
+            "gnp-d3-n60",
+            random::gnp_with_diameter_at_most(&mut rng, 60, 0.12, 3),
+        ),
+        ("path-8", classic::path(8)),
+        (
+            "disconnected",
+            Graph::from_edges(7, &[(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]),
+        ),
+        (
+            "cograph",
+            random::random_connected_cograph(&mut rng, 30, 0.4),
+        ),
+        (
+            "core-periphery",
+            random::core_periphery(&mut rng, 28, 4, 0.1),
+        ),
+    ];
+    let ps = [
+        PVec::l21(),
+        PVec::new(vec![4, 3, 2]).unwrap(),
+        PVec::lpq(5, 2).unwrap(),
+    ];
+    let logical = Budget {
+        node_budget: Some(20_000),
+        ..Budget::default()
+    };
+    let mut requests = Vec::new();
+    for (name, g) in &graphs {
+        for p in &ps {
+            let base = SolveRequest::new(g.clone(), p.clone()).with_budget(logical);
+            for strategy in ALL_STRATEGIES {
+                requests.push((*name, base.clone().with_strategy(strategy)));
+            }
+            let expired = Budget {
+                deadline_ms: Some(0),
+                ..logical
+            };
+            requests.push((
+                *name,
+                base.clone()
+                    .with_strategy(Strategy::Race)
+                    .with_budget(expired),
+            ));
+            for policy in [OraclePolicy::Dense, OraclePolicy::Hub] {
+                requests.push((
+                    *name,
+                    base.clone()
+                        .with_strategy(Strategy::OraclePath)
+                        .with_oracle(policy),
+                ));
+            }
+        }
+    }
+    let mut answered = 0;
+    for (name, req) in &requests {
+        let trace = dclab_trace::Trace::enabled();
+        let outcome = {
+            let _g = trace.install();
+            solve(req)
+        };
+        let apsp = trace
+            .phase_totals()
+            .iter()
+            .find(|t| t.name == "apsp")
+            .map_or(0, |t| t.calls);
+        let what = format!(
+            "{name} {} {} oracle={} deadline={:?}: {:?}",
+            req.pvec,
+            req.strategy,
+            req.oracle,
+            req.budget.deadline_ms,
+            outcome.as_ref().map(|r| r.solution.span)
+        );
+        assert!(apsp <= 1, "{apsp} all-pairs passes for {what}");
+        if let Ok(report) = outcome {
+            answered += 1;
+            assert!(report.stats.reductions_computed <= 1, "{what}");
+            if let Some(o) = &report.stats.oracle {
+                assert_eq!(
+                    (o.builds, report.stats.reductions_computed),
+                    (1, 0),
+                    "{what}"
+                );
+            }
+        }
+    }
+    assert!(
+        answered > requests.len() / 2,
+        "{answered} of {}",
+        requests.len()
+    );
+}
+
+/// Large p-vectors get a checked answer or a refusal, never a panic, a
+/// wrapped span or an invalid labeling: every strategy on K_n (n = 2..24)
+/// and Petersen, with entries at and near 2³¹ and ⌊2³²/(n − 1)⌋ (where
+/// the exact DP's `u32` path sums end), plus ⌈2⁵³/(2n)⌉ and `u64::MAX`,
+/// which the label-range guard refuses. An error is a guard refusal or the
+/// error the same request gives at small p; an answer is a valid labeling
+/// whose span is its largest label and at least its bound, and on K_n that
+/// span is (n − 1)·p.
+#[test]
+fn large_p_answers_are_checked_or_refused() {
+    use dclab_core::guard::{check_exact_range, GuardError};
+    let mut graphs: Vec<Graph> = (2..=24).map(classic::complete).collect();
+    graphs.push(classic::petersen());
+    let budget = Budget {
+        node_budget: Some(20_000),
+        ..Budget::default()
+    };
+    let mut checked = 0;
+    for g in &graphs {
+        let n = g.n();
+        let complete = g.is_complete();
+        let near = |c: u64| [c - 3, c - 1, c, c + 1, c + 3];
+        let mut values: Vec<u64> = near(1 << 31).to_vec();
+        values.extend(near((1u64 << 32) / (n as u64 - 1)));
+        let refused = [(1u64 << 53).div_ceil(2 * n as u64), u64::MAX];
+        let shapes: &[usize] = if complete { &[1] } else { &[1, 2] };
+        for &k in shapes {
+            for strategy in ALL_STRATEGIES {
+                let req = |x: u64| {
+                    SolveRequest::new(g.clone(), PVec::new(vec![x; k]).unwrap())
+                        .with_strategy(strategy)
+                        .with_budget(budget)
+                };
+                for &x in values.iter().chain(&refused) {
+                    // Held–Karp on more than 16 cities costs seconds and
+                    // gigabytes; where the ranges admit it, those cells
+                    // are left out.
+                    let held_karp = matches!(strategy, Strategy::Exact | Strategy::Auto)
+                        && (complete || k == 2)
+                        && check_exact_range(n, x).is_ok();
+                    if held_karp && n > 16 {
+                        continue;
+                    }
+                    let what = format!("n={n} k={k} p={x} {strategy}");
+                    match solve(&req(x)) {
+                        Ok(r) => {
+                            assert!(!refused.contains(&x), "{what}: answered past the range");
+                            let sol = &r.solution;
+                            let p = PVec::new(vec![x; k]).unwrap();
+                            assert_eq!(sol.span, sol.labeling.span(), "{what}");
+                            assert!(r.lower_bound <= sol.span, "{what}");
+                            assert!(sol.labeling.validate(g, &p).is_ok(), "{what}");
+                            if complete {
+                                assert_eq!(sol.span, (n as u64 - 1) * x, "{what}");
+                            }
+                        }
+                        Err(EngineError::Guard(GuardError::LabelRange { .. })) => {
+                            assert!(refused.contains(&x), "{what}: refused inside the range");
+                        }
+                        Err(EngineError::Guard(_)) => {}
+                        Err(e) => {
+                            let small = solve(&req(1)).expect_err(&what);
+                            assert_eq!(
+                                std::mem::discriminant(&e),
+                                std::mem::discriminant(&small),
+                                "{what}: {e}"
+                            )
+                        }
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 2500, "{checked}");
+}

@@ -20,7 +20,8 @@ use crate::INF;
 pub const BLOCK: usize = 64;
 
 /// Flat `n × n` matrix of hop distances; `INF` marks unreachable pairs.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The default is the empty matrix (`n = 0`).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DistanceMatrix {
     n: usize,
     d: Vec<u32>,
@@ -31,11 +32,6 @@ impl DistanceMatrix {
     /// sources, blocks fanned across threads.
     pub fn compute(g: &Graph) -> Self {
         let csr = Csr::from_graph(g);
-        Self::compute_csr(&csr)
-    }
-
-    /// Blocked bit-parallel APSP over an existing CSR view.
-    pub fn compute_csr(csr: &Csr) -> Self {
         let n = csr.n();
         let trace = dclab_trace::current();
         let mut span = trace.span("apsp");
@@ -45,7 +41,7 @@ impl DistanceMatrix {
         let blocks = dclab_par::par_map_chunks(n, BLOCK, |range| {
             let sources: Vec<usize> = range.collect();
             let mut rows = vec![0u32; sources.len() * n];
-            bfs64_distances_csr(csr, &sources, &mut rows);
+            bfs64_distances_csr(&csr, &sources, &mut rows);
             rows
         });
         let mut d = Vec::with_capacity(n * n);
@@ -108,20 +104,6 @@ impl DistanceMatrix {
                     max = d;
                 }
             }
-        }
-        Some(max)
-    }
-
-    /// Eccentricity of `u` (max finite distance from `u`), `None` when some
-    /// vertex is unreachable from `u`.
-    pub fn eccentricity(&self, u: usize) -> Option<u32> {
-        let mut max = 0;
-        for v in 0..self.n {
-            let d = self.get(u, v);
-            if d == INF {
-                return None;
-            }
-            max = max.max(d);
         }
         Some(max)
     }
@@ -194,7 +176,6 @@ mod tests {
         empty.validate().unwrap();
         let single = DistanceMatrix::compute(&Graph::new(1));
         assert_eq!(single.diameter(), Some(0));
-        assert_eq!(single.eccentricity(0), Some(0));
         single.validate().unwrap();
     }
 
@@ -213,7 +194,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         let d = DistanceMatrix::compute(&g);
         assert_eq!(d.diameter(), None);
-        assert_eq!(d.eccentricity(0), None);
     }
 
     #[test]
@@ -221,8 +201,5 @@ mod tests {
         let g = classic::complete(7);
         let d = DistanceMatrix::compute(&g);
         assert_eq!(d.diameter(), Some(1));
-        for u in 0..7 {
-            assert_eq!(d.eccentricity(u), Some(1));
-        }
     }
 }

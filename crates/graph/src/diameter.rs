@@ -1,9 +1,9 @@
-//! Diameter and eccentricity helpers.
+//! Diameter helpers.
 
 use crate::apsp::BLOCK;
 use crate::csr::Csr;
 use crate::graph::Graph;
-use crate::traversal::{bfs64_distances_csr, bfs_distances};
+use crate::traversal::bfs64_distances_csr;
 use crate::INF;
 
 /// Diameter of `g`, or `None` when `g` is disconnected or empty (`n = 0`
@@ -14,7 +14,8 @@ use crate::INF;
 /// complete and 2 otherwise. Every other graph runs the same bit-parallel
 /// BFS kernel as APSP, streaming blocks of 64 sources and folding their
 /// eccentricities instead of materializing the `n × n` matrix — `O(n)`
-/// words of memory per thread, but still `n` BFS waves of work.
+/// words of memory per thread, but still `n` BFS waves of work, traced as
+/// an `apsp` span with detail `diameter`.
 pub fn diameter(g: &Graph) -> Option<u32> {
     let n = g.n();
     if n == 0 {
@@ -25,6 +26,11 @@ pub fn diameter(g: &Graph) -> Option<u32> {
     }
     if g.universal_count() > 0 {
         return Some(if g.is_complete() { 1 } else { 2 });
+    }
+    let trace = dclab_trace::current();
+    let mut span = trace.span("apsp");
+    if span.is_enabled() {
+        span.set_detail(format!("diameter n={n}"));
     }
     let csr = Csr::from_graph(g);
     let per_block: Vec<Option<u32>> = dclab_par::par_map_chunks(n, BLOCK, |range| {
@@ -43,41 +49,6 @@ pub fn diameter(g: &Graph) -> Option<u32> {
     per_block
         .into_iter()
         .try_fold(0u32, |acc, ecc| ecc.map(|e| acc.max(e)))
-}
-
-/// Eccentricity of a single vertex via one BFS; `None` when some vertex is
-/// unreachable.
-pub fn eccentricity(g: &Graph, v: usize) -> Option<u32> {
-    let d = bfs_distances(g, v);
-    let mut max = 0;
-    for &x in &d {
-        if x == INF {
-            return None;
-        }
-        max = max.max(x);
-    }
-    Some(max)
-}
-
-/// Cheap *lower* bound on the diameter by double-sweep BFS: BFS from `start`,
-/// then BFS from the farthest vertex found. Exact on trees; never exceeds the
-/// true diameter on connected graphs.
-pub fn diameter_lower_bound(g: &Graph, start: usize) -> Option<u32> {
-    if g.n() == 0 {
-        // Align with `diameter`: an empty graph has no vertex pair.
-        return None;
-    }
-    let d1 = bfs_distances(g, start);
-    let (far, &best) = d1
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, &d)| if d == INF { 0 } else { d })
-        .unwrap();
-    if d1.contains(&INF) {
-        return None;
-    }
-    let _ = best;
-    eccentricity(g, far)
 }
 
 /// `true` iff `g` is connected with diameter at most `k` — the eligibility
@@ -105,23 +76,9 @@ mod tests {
     }
 
     #[test]
-    fn double_sweep_is_exact_on_trees() {
-        let g = classic::path(10);
-        assert_eq!(diameter_lower_bound(&g, 4), Some(9));
-    }
-
-    #[test]
-    fn eccentricity_of_center() {
-        let g = classic::star(5);
-        assert_eq!(eccentricity(&g, 0), Some(1));
-        assert_eq!(eccentricity(&g, 1), Some(2));
-    }
-
-    #[test]
     fn disconnected_reports_none() {
         let g = Graph::from_edges(3, &[(0, 1)]);
         assert_eq!(diameter(&g), None);
-        assert_eq!(eccentricity(&g, 0), None);
         assert!(!has_diameter_at_most(&g, 5));
     }
 
@@ -130,11 +87,9 @@ mod tests {
         // n = 0: no vertex pair → None everywhere, matching the
         // DistanceMatrix doc.
         assert_eq!(diameter(&Graph::new(0)), None);
-        assert_eq!(diameter_lower_bound(&Graph::new(0), 0), None);
         assert!(!has_diameter_at_most(&Graph::new(0), 0));
         // n = 1: a single vertex has diameter 0.
         assert_eq!(diameter(&Graph::new(1)), Some(0));
-        assert_eq!(eccentricity(&Graph::new(1), 0), Some(0));
         assert!(has_diameter_at_most(&Graph::new(1), 0));
     }
 

@@ -28,11 +28,11 @@ pub fn complement(g: &Graph) -> Graph {
     c
 }
 
-/// `k`-th power `G^k`: edge `{u,v}` iff `1 ≤ dist_G(u,v) ≤ k`.
-pub fn power(g: &Graph, k: u32) -> Graph {
+/// `k`-th power `G^k`, read off `G`'s distance matrix `d`: edge `{u,v}`
+/// iff `1 ≤ dist_G(u,v) ≤ k`.
+pub fn power(d: &DistanceMatrix, k: u32) -> Graph {
     assert!(k >= 1, "graph power requires k >= 1");
-    let n = g.n();
-    let d = DistanceMatrix::compute(g);
+    let n = d.n();
     let mut p = Graph::new(n);
     for u in 0..n {
         for v in (u + 1)..n {
@@ -126,8 +126,7 @@ mod tests {
 
     #[test]
     fn square_of_path() {
-        let g = classic::path(5);
-        let p2 = power(&g, 2);
+        let p2 = power(&DistanceMatrix::compute(&classic::path(5)), 2);
         assert!(p2.has_edge(0, 2));
         assert!(p2.has_edge(0, 1));
         assert!(!p2.has_edge(0, 3));
@@ -136,8 +135,8 @@ mod tests {
 
     #[test]
     fn power_with_large_k_is_complete_for_connected() {
-        let g = classic::path(6);
-        assert!(power(&g, 5).is_complete());
+        let d = DistanceMatrix::compute(&classic::path(6));
+        assert!(power(&d, 5).is_complete());
     }
 
     #[test]

@@ -103,29 +103,6 @@ pub fn bfs64_distances_csr(csr: &Csr, sources: &[usize], out: &mut [u32]) {
     }
 }
 
-/// BFS truncated at `radius`: distances `> radius` are reported as [`INF`].
-/// Used by greedy labeling, which only needs distances up to `k = |p|`.
-pub fn bfs_distances_bounded(csr: &Csr, src: usize, radius: u32) -> Vec<u32> {
-    let n = csr.n();
-    let mut dist = vec![INF; n];
-    let mut queue = VecDeque::new();
-    dist[src] = 0;
-    queue.push_back(src as u32);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        if du == radius {
-            continue;
-        }
-        for &v in csr.neighbors(u as usize) {
-            if dist[v as usize] == INF {
-                dist[v as usize] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// Connected components; returns `(component_id per vertex, #components)`.
 pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     let n = g.n();
@@ -187,16 +164,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], INF);
         assert_eq!(d[3], INF);
-    }
-
-    #[test]
-    fn bounded_bfs_truncates() {
-        let g = classic::path(6);
-        let csr = Csr::from_graph(&g);
-        let d = bfs_distances_bounded(&csr, 0, 2);
-        assert_eq!(d[..3], [0, 1, 2]);
-        assert_eq!(d[3], INF);
-        assert_eq!(d[5], INF);
     }
 
     #[test]

@@ -64,8 +64,9 @@ proptest! {
     #[test]
     fn power_grows_monotonically(seed in any::<u64>(), n in 2usize..14) {
         let g = gnp_from(seed, n, 0.3);
-        let g2 = power(&g, 2);
-        let g3 = power(&g, 3);
+        let d = DistanceMatrix::compute(&g);
+        let g2 = power(&d, 2);
+        let g3 = power(&d, 3);
         // Edge sets are nested: E(G) ⊆ E(G²) ⊆ E(G³).
         for (u, v) in g.edges() {
             prop_assert!(g2.has_edge(u, v));
@@ -79,7 +80,7 @@ proptest! {
     fn power_beyond_diameter_saturates(seed in any::<u64>(), n in 2usize..12) {
         let g = gnp_from(seed, n, 0.5);
         prop_assume!(is_connected(&g));
-        let gk = power(&g, n as u32);
+        let gk = power(&DistanceMatrix::compute(&g), n as u32);
         prop_assert!(gk.is_complete());
     }
 

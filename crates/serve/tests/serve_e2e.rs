@@ -121,6 +121,34 @@ fn guard_failure_returns_422_with_json_error() {
     stop(handle, client);
 }
 
+/// Large p over HTTP: on K_6 at p = 858 993 460 the exact DP's 32-bit
+/// path sums would wrap, so `auto` answers from its next leg with the true
+/// span 5p; at 2⁵²+3 the label-range guard refuses with a 422 that is not
+/// cached, so the same request is refused again, not served as a hit.
+#[test]
+fn large_p_is_answered_exactly_or_refused_uncached() {
+    let (handle, mut client) = test_server();
+    let body = graph_io::write_edge_list(&classic::complete(6));
+    let ok = client
+        .request("POST", "/solve?p=858993460&strategy=auto", &body)
+        .unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.body);
+    assert!(ok.body.contains("\"span\":4294967300"), "{}", ok.body);
+    let target = "/solve?p=4503599627370499&strategy=auto";
+    for attempt in 0..2 {
+        let resp = client.request("POST", target, &body).unwrap();
+        assert_eq!(resp.status, 422, "attempt {attempt}: {}", resp.body);
+        assert!(resp.body.contains("\"kind\":\"guard\""), "{}", resp.body);
+        assert!(resp.body.contains("label-range guard"), "{}", resp.body);
+        assert_ne!(
+            resp.header("x-dclab-cache"),
+            Some("hit"),
+            "attempt {attempt}"
+        );
+    }
+    stop(handle, client);
+}
+
 /// A restart count past the guard is refused before the heuristic
 /// allocates a slot per restart, so `/solve` and each `/batch` item answer with a
 /// guard error and the server keeps serving.

@@ -18,8 +18,11 @@ const UNREACHED: u32 = u32::MAX;
 /// Returns `(order, weight)`.
 ///
 /// # Panics
-/// If `n == 0` or `n > 24`, or if any single edge weight exceeds `u32::MAX/2`
-/// (the compact DP stores weights in `u32`).
+/// If `n == 0` or `n > 24`, or if a Hamiltonian path can weigh
+/// `u32::MAX` or more, `(n − 1)·w_max ≥ u32::MAX` (the compact DP sums
+/// path weights in `u32` and keeps `u32::MAX` for "unreached"; callers
+/// refuse such instances first, as `dclab_core::guard::check_exact_range`
+/// does).
 pub fn held_karp_path(inst: &TspInstance) -> (Vec<u32>, Weight) {
     let n = inst.n();
     assert!(n >= 1, "empty instance");
@@ -95,8 +98,8 @@ pub fn held_karp_path(inst: &TspInstance) -> (Vec<u32>, Weight) {
 fn check_weights(inst: &TspInstance) {
     if let Some((_, max)) = inst.weight_range() {
         assert!(
-            max <= (u32::MAX / 2) as Weight,
-            "edge weight too large for compact Held-Karp DP"
+            (inst.n() as u128 - 1) * (max as u128) < UNREACHED as u128,
+            "path weights too large for compact Held-Karp DP"
         );
     }
 }

@@ -60,10 +60,11 @@ fn main() {
     for parts in [vec![6, 6, 6], vec![10, 5, 8, 4], vec![20, 20, 20, 20]] {
         let g = dclab::graph::generators::classic::complete_multipartite(&parts);
         let nd = dclab::graph::params::nd::nd(&g);
-        let (_, fpt) = solve_l1(&g, 2, L1Engine::NdFpt);
-        let (_, ds) = solve_l1(&g, 2, L1Engine::Dsatur);
+        let d = dclab::graph::DistanceMatrix::compute(&g);
+        let (_, fpt) = solve_l1(&d, 2, L1Engine::NdFpt);
+        let (_, ds) = solve_l1(&d, 2, L1Engine::Dsatur);
         let exact = if g.n() <= 30 {
-            format!("{}", solve_l1(&g, 2, L1Engine::Exact).1)
+            format!("{}", solve_l1(&d, 2, L1Engine::Exact).1)
         } else {
             "—".to_string()
         };
@@ -82,7 +83,8 @@ fn main() {
     for n in [8usize, 10, 12] {
         let g = dclab::graph::generators::random::gnp_with_diameter_at_most(&mut rng, n, 0.5, 2);
         let opt = exact(&g, &p);
-        let approx = solve_pmax_approx(&g, &p, L1Engine::Exact);
+        let d = dclab::graph::DistanceMatrix::compute(&g);
+        let approx = solve_pmax_approx(&d, &p, L1Engine::Exact);
         assert!(approx.labeling.validate(&g, &p).is_ok());
         println!(
             "  n={:>3}: optimal {} vs p_max-approx {} (ratio {:.2}, guarantee {:.1})",

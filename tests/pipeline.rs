@@ -85,8 +85,9 @@ fn l1_route_agrees_with_tsp_route_on_diam2() {
         let g = diam2_graph(&mut rng, 9);
         let p = PVec::ones(2);
         let via_tsp = solve_with(&g, &p, Strategy::Exact).unwrap();
-        let (_, via_coloring) = solve_l1(&g, 2, L1Engine::Exact);
-        let (_, via_nd) = solve_l1(&g, 2, L1Engine::NdFpt);
+        let d = dclab::graph::DistanceMatrix::compute(&g);
+        let (_, via_coloring) = solve_l1(&d, 2, L1Engine::Exact);
+        let (_, via_nd) = solve_l1(&d, 2, L1Engine::NdFpt);
         assert_eq!(via_tsp.span, via_coloring);
         assert_eq!(via_tsp.span, via_nd);
     }

@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn nd_of_power_does_not_grow(seed in any::<u64>(), k in 2u32..4) {
         let g = connected_graph(seed, 9, 0.5);
-        let gk = dclab::graph::ops::power(&g, k);
+        let gk = dclab::graph::ops::power(&dclab::graph::DistanceMatrix::compute(&g), k);
         prop_assert!(
             dclab::graph::params::nd::nd(&gk) <= dclab::graph::params::nd::nd(&g)
         );
@@ -151,7 +151,8 @@ proptest! {
         let g = connected_graph(seed, 8, 0.5);
         let p = PVec::l21();
         prop_assume!(dclab::graph::diameter::diameter(&g).unwrap() as usize <= p.k());
-        let sol = routes::greedy_route(&g, &p, &Deadline::none());
+        let dist = dclab::graph::DistanceMatrix::compute(&g);
+        let sol = routes::greedy_route(&g, &dist, &p, &Deadline::none());
         let norm = sol.labeling.normalized();
         prop_assert!(norm.validate(&g, &p).is_ok());
         prop_assert!(norm.span() <= sol.labeling.span());
